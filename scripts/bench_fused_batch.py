@@ -23,11 +23,11 @@ field-by-field per app x policy (``identity_matrix`` /
 
 A separate streaming phase (skip with ``--skip-stream``) runs one fused
 sweep over a ``--stream-len``-lookup trace (default 10M — the scale the
-chunked column streaming enables) twice: windowed
-(``REPRO_SIM_STREAM_WINDOW=--stream-window``) and monolithic
-(window 0).  It reports each run's peak RSS so the artifact shows the
-bounded-window memory profile, and checks the two produce identical
-stats.
+chunked column streaming enables).  Any trace longer than
+``simd_fused.STREAM_WINDOW`` streams its columns window by window; the
+phase reports the run's peak RSS so the artifact shows the
+bounded-window memory profile.  Windowed-vs-memoized identity is
+checked by ``tests/test_fused_kernel.py``.
 
 Usage::
 
@@ -120,19 +120,16 @@ json.dump({
 """
 
 #: One fused sweep at figure scale: load the (pre-generated) trace from
-#: the chunked v2 loader, build the arms, run run_group under the given
-#: streaming window, and report the process's peak RSS.
+#: the chunked v2 loader, build the arms, run run_group (which streams
+#: the columns) and report the process's peak RSS.
 _STREAM = r"""
-import dataclasses, json, os, resource, sys, time
+import json, resource, sys, time
 from repro.frontend import simd_fused
 from repro.frontend.pipeline import FrontendPipeline
 from repro.harness.runner import RunRequest, _build_policy_and_hints
 from repro.workloads.registry import get_trace
 
-app, arms, n, window = (
-    sys.argv[1], sys.argv[2].split(","), int(sys.argv[3]), sys.argv[4],
-)
-os.environ["REPRO_SIM_STREAM_WINDOW"] = window
+app, arms, n = sys.argv[1], sys.argv[2].split(","), int(sys.argv[3])
 t0 = time.perf_counter()
 trace = get_trace(app, n_lookups=n)
 load_s = time.perf_counter() - t0
@@ -145,19 +142,18 @@ for pname in arms:
     pipelines.append(FrontendPipeline(config, policy, hints=hints))
 build_s = time.perf_counter() - t0
 t0 = time.perf_counter()
-stats = simd_fused.run_group(pipelines, trace, 0)
+simd_fused.run_group(pipelines, trace, 0)
 sweep_s = time.perf_counter() - t0
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 json.dump({
     "lookups": n,
     "arms": arms,
-    "stream_window": int(window),
+    "stream_window": simd_fused.STREAM_WINDOW,
     "trace_load_s": round(load_s, 3),
     "policy_build_s": round(build_s, 3),
     "sweep_s": round(sweep_s, 3),
     "sweep_lookups_per_s": round(n * len(arms) / sweep_s, 1),
     "peak_rss_mib": round(peak_kb / 1024, 1),
-    "stats": [dataclasses.asdict(s) for s in stats],
 }, sys.stdout)
 """
 
@@ -197,8 +193,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="lookups for the streaming-sweep phase")
     parser.add_argument("--stream-arms", default="lru,ghrp,belady",
                         help="arms for the streaming-sweep phase")
-    parser.add_argument("--stream-window", type=int, default=262_144,
-                        help="REPRO_SIM_STREAM_WINDOW for the windowed run")
     parser.add_argument("--skip-stream", action="store_true",
                         help="skip the large streaming-sweep phase")
     parser.add_argument("--cache-dir", type=Path, default=None,
@@ -261,23 +255,14 @@ def main(argv: list[str] | None = None) -> int:
             stream_warm = run_json(
                 _STREAM_WARM, [args.apps.split(",")[0], args.stream_len],
                 env=env)
-            stream_args = [args.apps.split(",")[0], args.stream_arms,
-                           args.stream_len]
-            windowed = run_json(
-                _STREAM, [*stream_args, args.stream_window], env=env)
-            monolithic = run_json(_STREAM, [*stream_args, 0], env=env)
-            identical = windowed.pop("stats") == monolithic.pop("stats")
             outcome["streaming"] = {
                 "trace_warm_s": stream_warm["warm_s"],
-                "windowed": windowed,
-                "monolithic": monolithic,
-                "identical_results": identical,
-                "peak_rss_ratio": round(
-                    monolithic["peak_rss_mib"] / windowed["peak_rss_mib"], 3),
+                "windowed": run_json(
+                    _STREAM, [args.apps.split(",")[0], args.stream_arms,
+                              args.stream_len], env=env),
             }
 
-        ok = outcome["identical_results"] and outcome.get(
-            "streaming", {}).get("identical_results", True)
+        ok = outcome["identical_results"]
 
     emit(outcome, args.output)
     return 0 if ok else 1

@@ -86,13 +86,17 @@ def spec_code(src: str, prefix: str = "segment"):
     return code
 
 
-def flagged_source(method, spec_names, flags: dict, *, new_name: str,
-                   template: list[str]) -> str:
-    """The source of ``method`` with the ``spec_names`` flags baked in.
+def compile_flagged(method, spec_names, flags: dict, *, new_name: str,
+                    namespace: dict, prefix: str, template: list[str]):
+    """Compile ``method`` with the ``spec_names`` flags baked in.
 
-    This is the text half of :func:`compile_flagged`; the arm-fused
-    kernel (:mod:`repro.frontend.simd_fused`) also consumes it directly,
-    stitching several specialized segment bodies into one shared loop.
+    The generic loop assigns each flag once and branches on it per
+    lookup/event.  Rewriting the flag names to literals lets the
+    bytecode compiler drop every dead branch outright (``if False``
+    blocks compile to nothing, ``True and x`` reduces to ``x``), so
+    each policy kind runs a loop with no cross-kind tests left in it.
+    The generic method stays the single source of truth: variants are
+    derived from its source at first use and behave identically.
     ``template`` is the caller's one-element source cache (the
     ``inspect.getsource`` extraction is paid once per process).
     """
@@ -110,23 +114,7 @@ def flagged_source(method, spec_names, flags: dict, *, new_name: str,
                      flags=re.MULTILINE)
     for name in spec_names:
         src = re.sub(rf"\b{name}\b", repr(bool(flags[name])), src)
-    return src.replace(f"def {method.__name__}(", f"def {new_name}(", 1)
-
-
-def compile_flagged(method, spec_names, flags: dict, *, new_name: str,
-                    namespace: dict, prefix: str, template: list[str]):
-    """Compile ``method`` with the ``spec_names`` flags baked in.
-
-    The generic loop assigns each flag once and branches on it per
-    lookup/event.  Rewriting the flag names to literals lets the
-    bytecode compiler drop every dead branch outright (``if False``
-    blocks compile to nothing, ``True and x`` reduces to ``x``), so
-    each policy kind runs a loop with no cross-kind tests left in it.
-    The generic method stays the single source of truth: variants are
-    derived from its source at first use and behave identically.
-    """
-    src = flagged_source(method, spec_names, flags, new_name=new_name,
-                         template=template)
+    src = src.replace(f"def {method.__name__}(", f"def {new_name}(", 1)
     ns = dict(namespace)
     exec(spec_code(src, prefix), ns)
     return ns[new_name]

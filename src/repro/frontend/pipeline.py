@@ -338,10 +338,10 @@ class FrontendPipeline:
 
         Supported configurations (the online LRU/SRRIP/random/GHRP
         kinds plus the offline and profile-guided families — Belady,
-        FOO/FLACK replay, FURBYS, Thermometer) dispatch to the
-        vectorized :mod:`repro.frontend.simd` /
-        :mod:`repro.frontend.simd_offline` kernels unless
-        ``REPRO_SIM_FASTPATH=0``; everything else runs the
+        FOO/FLACK replay, FURBYS, Thermometer) run the vectorized
+        :mod:`repro.frontend.simd` / :mod:`repro.frontend.simd_offline`
+        kernels as a one-arm :func:`repro.frontend.simd_fused.run_group`
+        unless ``REPRO_SIM_FASTPATH=0``; everything else runs the
         prepared-trace loop below, counting the reason under a
         ``sim_fallback:<policy>:<reason>`` fallback counter.  All paths
         are bit-identical to :meth:`run_reference` / :meth:`step` — see

@@ -13,12 +13,13 @@ materialized at all.
 
 The kernel splits the simulation into:
 
-* **array passes** (numpy, once per trace x geometry, memoized on the
-  trace so all policies in a batch share them): set indices, entry
-  sizes, icache line spans, legacy-decode cycles, branch extraction,
-  prefix sums for per-segment totals, and — for GHRP — the full global
-  history sequence (the 20-bit history register is a shift-XOR of the
-  last four start addresses, so it vectorizes exactly);
+* **array passes** (numpy, once per column window x geometry — a trace
+  that fits in one window memoizes it, so all policies in a batch share
+  it; see :mod:`repro.frontend.simd_fused`): set indices, entry sizes,
+  icache line spans, legacy-decode cycles, branch extraction, prefix
+  sums for per-segment totals, and — for GHRP — the full global history
+  sequence (the 20-bit history register is a shift-XOR of the last four
+  start addresses, so it vectorizes exactly);
 * a **compressed BTB pass** per segment over branch-terminated lookups
   only (the BTB is independent of micro-op cache state, so its LRU
   updates batch into one tight loop over precomputed branch PCs);
@@ -40,8 +41,9 @@ lengths against :meth:`FrontendPipeline.run_reference`.
 The offline and profile-guided policy families (Belady, FOO/FLACK
 replay, FURBYS, Thermometer) run through the sibling kernel in
 :mod:`repro.frontend.simd_offline`, which subclasses :class:`_Kernel`
-and swaps the policy-state handling; :func:`run_kernel` dispatches on
-:func:`kernel_kind` / :func:`offline_kernel_kind`.
+and swaps the policy-state handling.  Both are driven by
+:func:`repro.frontend.simd_fused.run_group`; :func:`run_kernel` is its
+one-arm call.
 
 ``REPRO_SIM_FASTPATH=0`` disables both kernels (the prepared-trace
 loop in :meth:`FrontendPipeline._run_segment` then runs, exactly as
@@ -53,7 +55,6 @@ fall back automatically, counted per (policy, reason) by the
 
 from __future__ import annotations
 
-import gc as _gc
 import os
 from collections import deque
 from typing import TYPE_CHECKING
@@ -63,15 +64,13 @@ try:  # numpy is a project dependency, but minimal CI envs may omit it.
 except ImportError:  # pragma: no cover - exercised via the fallback path
     _np = None
 
-from .. import stagetimer
-from ._specialize import compile_flagged, gc_paused as _gc_paused
+from ._specialize import compile_flagged
 from ..core.pw import StoredPW
 from ..core.stats import SimulationStats
 from ..core.trace import (
     FLAG_CONTAINS,
     FLAG_MISPREDICTED,
     FLAG_TERMINATED,
-    callable_token,
 )
 from ..policies.ghrp import (
     _BYPASS_THRESHOLD,
@@ -251,38 +250,17 @@ def supports(pipeline: "FrontendPipeline") -> bool:
 
 def run_kernel(pipeline: "FrontendPipeline", trace: "Trace",
                warmup: int) -> SimulationStats:
-    """Simulate ``trace`` on ``pipeline`` through the matching kernel.
+    """Simulate ``trace`` on ``pipeline``: a one-arm kernel group.
 
     The caller (``FrontendPipeline.run``) is responsible for checking
     :func:`sim_fastpath_enabled` and :func:`supports` first.
     """
-    if kernel_kind(pipeline.policy) is not None:
-        return _Kernel(pipeline, trace, warmup).run()
-    from .simd_offline import _OfflineKernel
+    from .simd_fused import run_group
 
-    return _OfflineKernel(pipeline, trace, warmup).run()
+    return run_group([pipeline], trace, warmup)[0]
 
 
-# --- precomputed columns ------------------------------------------------------
-
-
-def _precompute(trace: "Trace", *, n_sets: int, uops_per_entry: int,
-                line_bytes: int, decode_width: int, btb_n_sets: int,
-                ic_n_sets: int, delay: int, set_index_fn) -> dict:
-    """Per-lookup derived columns for the kernel loop, memoized on the trace.
-
-    Everything here depends only on the trace contents and machine
-    geometry, so all policies simulating one trace share a single pass
-    (the memo key follows the :meth:`Trace.prepared` convention).
-    """
-    key = ("simd", n_sets, uops_per_entry, line_bytes, decode_width,
-           btb_n_sets, ic_n_sets, delay, callable_token(set_index_fn))
-    return trace.memo(key, lambda: _gc_paused(lambda: _build_columns(
-        trace, n_sets=n_sets, uops_per_entry=uops_per_entry,
-        line_bytes=line_bytes, decode_width=decode_width,
-        btb_n_sets=btb_n_sets, ic_n_sets=ic_n_sets, delay=delay,
-        set_index_fn=set_index_fn,
-    )))
+# --- derived columns ----------------------------------------------------------
 
 
 def _build_columns(trace: "Trace", *, n_sets: int, uops_per_entry: int,
@@ -291,8 +269,9 @@ def _build_columns(trace: "Trace", *, n_sets: int, uops_per_entry: int,
                    lo: int = 0, hi=None) -> dict:
     """Derived columns for the lookup window ``[lo, hi)``.
 
-    The default (``lo=0``, ``hi=None``) builds the full trace; the
-    streaming fused sweep builds bounded windows instead.  Window reads
+    The default (``lo=0``, ``hi=None``) builds the full trace;
+    :func:`repro.frontend.simd_fused.run_group` builds one window per
+    :data:`~repro.frontend.simd_fused.STREAM_WINDOW` lookups.  Window reads
     are indexed relative to the returned ``base``: completions trail the
     window start by up to the insertion delay and the GHRP signature
     looks up to ``delay`` lookups ahead, so the materialized slice is
@@ -445,11 +424,9 @@ def _build_columns(trace: "Trace", *, n_sets: int, uops_per_entry: int,
 class _Kernel:
     """One kernel execution: state shared across warmup/measure segments."""
 
-    def __init__(self, pipeline: "FrontendPipeline", trace: "Trace",
-                 warmup: int, *, columns=None, n_total=None) -> None:
+    def __init__(self, pipeline: "FrontendPipeline", columns: dict,
+                 n: int) -> None:
         self.pipeline = pipeline
-        self.trace = trace
-        self.warmup = warmup
         config = pipeline.config
         self.kind = kernel_kind(pipeline.policy)
         uc = config.uop_cache
@@ -459,25 +436,9 @@ class _Kernel:
         self.line_bytes = config.icache.line_bytes
         self.inclusive = uc.inclusive_with_icache
 
-        if columns is None:
-            columns = _precompute(
-                trace,
-                n_sets=uc.sets,
-                uops_per_entry=uc.uops_per_entry,
-                line_bytes=config.icache.line_bytes,
-                decode_width=config.core.decode_width,
-                btb_n_sets=pipeline.btb._n_sets,
-                ic_n_sets=config.icache.sets,
-                delay=uc.insertion_delay,
-                set_index_fn=pipeline.uop_cache._set_index,
-            )
-        self.cols = columns
-        # Streaming callers pass a bounded window plus the true trace
-        # length; ``col_base`` shifts every column read accordingly.
-        self.col_base = columns.get("base", 0)
-        self.n = (n_total if n_total is not None
-                  else self.col_base + len(self.cols["starts"]))
-        self.hist = self.cols["hist"]
+        # ``n`` is the trace length; ``columns`` is its first window.
+        self.n = n
+        self._bind_columns(columns)
         self.hist_now = 0
 
         # Live policy state (mutated in place — no sync needed).
@@ -584,38 +545,12 @@ class _Kernel:
 
     # --- orchestration -------------------------------------------------------
 
-    def run(self) -> SimulationStats:
-        pipeline = self.pipeline
-        n = self.n
-        warmup = self.warmup
-        segment = self._segment
-        if os.environ.get("REPRO_SIM_SPECIALIZE", "1") != "0":
-            spec = self._specialized()
-            if spec is not None:
-                segment = spec.__get__(self)
-        # The kernel's working set is acyclic (columns of ints/tuples plus
-        # flat list records), so the cyclic collector can only cost time
-        # here: every gen-2 pass re-scans the millions of column pointers
-        # while the hot loop's record churn keeps triggering collections.
-        # Refcounting frees everything the loop drops; pause the collector
-        # for the duration and restore the caller's setting afterwards.
-        gc_was_enabled = _gc.isenabled()
-        if gc_was_enabled:
-            _gc.disable()
-        try:
-            with stagetimer.timed("sim_kernel"):
-                if 0 < warmup < n:
-                    segment(0, warmup)
-                    pipeline.stats = SimulationStats()
-                    segment(warmup, n)
-                else:
-                    segment(0, n)
-                self._drain(n)
-        finally:
-            if gc_was_enabled:
-                _gc.enable()
-        self._sync_back()
-        return pipeline._finalize(n)
+    def _bind_columns(self, columns: dict) -> None:
+        """Point every column read at ``columns`` (one window)."""
+        self.cols = columns
+        # Loop indices subtract ``col_base`` at every column read.
+        self.col_base = columns["base"]
+        self.hist = columns["hist"]
 
     def _spec_flags(self) -> dict:
         """Run-constant flags the specialized segment bakes in."""
@@ -1054,7 +989,6 @@ class _Kernel:
         line_map_get = line_map.get
 
         # --- compressed BTB pass (independent of cache state) ---
-        # [fused:btb]
         if not cfg.perfect_btb:
             btb = pipeline.btb
             bsets = btb._sets
@@ -1080,7 +1014,6 @@ class _Kernel:
             self.btb_accesses += hi - lo
             self.btb_misses += btb_misses
             stats.btb_misses += btb_misses
-        # [fused:/btb]
 
         # --- segment-local counters ---
         pw_partial_hits = 0

@@ -1,97 +1,59 @@
-"""Arm-fused multi-policy simulation sweeps.
+"""The one driver of the simulation kernels: arm groups over column windows.
 
-Every figure in the paper compares many replacement policies over the
-*same* trace.  The per-arm kernels (:mod:`repro.frontend.simd` and
-:mod:`repro.frontend.simd_offline`) already vectorize one (pipeline,
-trace) pass, but a K-policy figure still pays the column builds, the
-compiled-segment warmup, the GC bookkeeping and (when streaming) the
-window decode K times per app.  This module advances *all* requested
-arms in a single pass over the packed columns, sharing those costs
-across the group.
+Every kernel run goes through :func:`run_group`.  A solo
+:meth:`FrontendPipeline.run` is a one-arm group
+(:func:`repro.frontend.simd.run_kernel`), profiling replays included;
+the batch prepass in :mod:`repro.harness.parallel` hands it every cold
+request that shares a trace and geometry, so a K-policy figure pays
+the column build, the segment warmup and the GC pause once per app
+instead of K times.
 
-Two execution shapes are provided (``REPRO_SIM_FUSE_MODE``):
+Within each column window every arm advances through its **own**
+flag-specialized segment (:mod:`repro.frontend.simd` for the online
+kinds, :mod:`repro.frontend.simd_offline` for the offline and
+profile-guided ones), so each arm's inner loop is exactly its solo
+kernel and stays small enough for the CPU's instruction and
+inline-cache working set.
 
-``striped`` (default)
-    One pass over shared column windows; within each window every arm
-    advances via its **own** flag-specialized solo segment.  Each
-    arm's inner loop stays small enough for the CPU's instruction and
-    inline-cache working set, which measures fastest on the paper's
-    miss-heavy data-center traces.
+Columns come from one windowed source, sized by :data:`STREAM_WINDOW`:
 
-``interleave``
-    A single mega-function steps every arm inside one shared lookup
-    loop, amortizing the loop header, the column loads and the BTB
-    pass.  Profitable only when the per-arm bodies are tiny (hit-
-    dominated traces, few arms); on 60%+ miss-rate workloads the
-    combined per-iteration bytecode overflows the CPU caches.
+* a trace of at most ``STREAM_WINDOW`` lookups builds its single window
+  once and memoizes it on the trace, so every arm and every later run
+  over that trace and geometry shares it;
+* a longer trace streams its windows — each built on demand and
+  released before the next — and memoizes nothing, so peak memory stays
+  flat in the trace length.  Window reads are ``base``-relative (see
+  :func:`repro.frontend.simd._build_columns`), so every access stays
+  inside the live window.
 
-The interleaved loop is assembled **textually** from the proven
-per-arm kernels rather than re-implemented:
-
-1. each arm's flag-specialized ``_segment`` source is obtained via
-   :func:`repro.frontend._specialize.flagged_source` — exactly the
-   text the solo kernels compile and verify;
-2. every local name of that source is suffix-renamed (``_a0``,
-   ``_a1``, …) with a tokenizer pass, except the five shared loop
-   names (``begin``/``end``/``now``/``start``/``uops``);
-3. the renamed sources are split at stable anchors (hoist / loop
-   header / loop body / fold) and stitched into one function: all
-   hoists first, **one** shared loop header, the per-arm loop bodies
-   concatenated inside it, then the per-arm folds.
-
-Each arm therefore executes its own exact specialized code on its own
-state — bit-identity per arm against the solo kernels is inherited by
-construction, and the shared loop header, the single BTB pass (arm 0
-runs it, the other arms replicate the counters and copy the final BTB
-state — its evolution is trace-only and the group shares one config)
-and the one-shot GC pause are amortized across arms.
-
-Streaming: with ``REPRO_SIM_STREAM_WINDOW=<n>`` the sweep consumes the
-trace in bounded windows — :func:`repro.frontend.simd._build_columns`
-builds each window's derived columns on demand (``base``-relative
-indexing keeps every read local) so peak memory stays flat and
-10M-lookup traces become a supported figure scale.
-
-``REPRO_SIM_FUSE=0`` disables the fused path end-to-end; unsupported
-arm mixes raise :class:`FusedUnsupported` and the caller falls back to
-the per-arm path, counting ``sim_fallback:fused:<reason>``.
+``REPRO_SIM_FUSE=0`` disables the multi-arm prepass (each arm then runs
+as its own one-arm group); a group this driver cannot serve raises
+:class:`FusedUnsupported` and the caller falls back to the per-arm
+path, counting ``sim_fallback:fused:<reason>``.
 """
 
 from __future__ import annotations
 
 import gc as _gc
-import io
 import os
-import tokenize
 
 from .. import stagetimer
 from ..core.stats import SimulationStats
-from . import simd as _simd
-from . import simd_offline as _simd_off
-from ._specialize import flagged_source, gc_paused as _gc_paused, spec_code
+from ..core.trace import callable_token
+from ._specialize import gc_paused as _gc_paused
 from .simd import _Kernel, _build_columns, kernel_kind, sim_fastpath_enabled
 from .simd_offline import _OfflineKernel
 
-#: Loop names shared across arms (the fused header binds them once).
-_SHARED_NAMES = frozenset({"begin", "end", "now", "start", "uops"})
-
-#: Keyword-argument names used inside the segments.  They are not
-#: locals, so the renamer never touches them — asserted at assembly
-#: time because a future local with one of these names would rename
-#: the keyword too and break the call.
-_KWARG_NAMES = frozenset({"last", "dtype", "key", "reverse", "out", "count"})
-
-#: Windows below this are all rebuild overhead; the knob is clamped up.
-_MIN_STREAM_WINDOW = 4096
-
-#: Max arms per fused function (compile time grows linearly; a full
-#: figure is 14 arms).
-MAX_ARMS = 32
+#: Lookups per column window.  A trace of at most this many lookups
+#: memoizes its single window; a longer one streams.  Smaller windows
+#: would make the paper-scale traces stream and rebuild their columns
+#: on every run.
+STREAM_WINDOW = 65536
 
 
 class FusedUnsupported(Exception):
-    """This arm mix cannot run fused; ``reason`` feeds the fallback
-    counter (``sim_fallback:fused:<reason>``)."""
+    """This arm mix cannot run as one group; ``reason`` feeds the
+    fallback counter (``sim_fallback:fused:<reason>``)."""
 
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
@@ -99,227 +61,22 @@ class FusedUnsupported(Exception):
 
 
 def fuse_enabled() -> bool:
-    """Whether the fused sweep may be used at all."""
+    """Whether the multi-arm batch prepass may be used at all."""
     return (os.environ.get("REPRO_SIM_FUSE", "1") != "0"
-            and os.environ.get("REPRO_SIM_SPECIALIZE", "1") != "0"
             and sim_fastpath_enabled())
 
 
-def fuse_mode() -> str:
-    """Group execution shape: ``striped`` (default) or ``interleave``.
-
-    ``striped`` advances each arm across a window with its own solo
-    specialized segment — per-arm bytecode stays small enough for the
-    CPU caches, which measures fastest on miss-heavy data-center
-    traces.  ``interleave`` runs the textually assembled mega-function
-    that steps every arm inside one shared lookup loop; it amortizes
-    the loop header and the BTB pass, which wins only when the per-arm
-    bodies are tiny (hit-dominated traces, few arms).
-    """
-    mode = os.environ.get("REPRO_SIM_FUSE_MODE", "striped").strip().lower()
-    return mode if mode == "interleave" else "striped"
-
-
-def stream_window() -> int:
-    """Streaming window size in lookups (0 = stream off)."""
-    try:
-        w = int(os.environ.get("REPRO_SIM_STREAM_WINDOW", "0") or "0")
-    except ValueError:
-        return 0
-    if w <= 0:
-        return 0
-    return max(w, _MIN_STREAM_WINDOW)
-
-
-# --- per-arm source sections --------------------------------------------------
-
-#: (family, flag_key) -> suffix-independent section data.
-_section_cache: dict[tuple, dict] = {}
-
-#: specs tuple -> compiled fused driver (or None when compilation
-#: failed once; retrying every group would repay the cost for nothing).
-_fused_cache: dict[tuple, object] = {}
-
-#: Cumulative eviction counters for ``repro trace inspect --cache-stats``.
-_evictions = {"fused_fns": 0, "fused_sections": 0}
-
-
-def _solo_source(family: str, flags: dict) -> str:
-    """The flag-specialized solo segment source for one arm family."""
-    if family == "on":
-        return flagged_source(
-            _Kernel._segment, _simd._SPEC_NAMES, flags,
-            new_name="_seg", template=_simd._spec_template)
-    return flagged_source(
-        _OfflineKernel._segment, _simd_off._OFF_SPEC_NAMES, flags,
-        new_name="_seg", template=_simd_off._off_spec_template)
-
-
-def _local_names(src: str) -> frozenset:
-    """Locals (and cellvars) of the solo segment compiled from ``src``."""
-    code = compile(src, "<fused-arm>", "exec")
-    for const in code.co_consts:
-        if hasattr(const, "co_varnames") and const.co_name == "_seg":
-            return frozenset(const.co_varnames) | frozenset(const.co_cellvars)
-    raise FusedUnsupported("no_segment_code")
-
-
-def _arm_sections(family: str, flag_key: tuple) -> dict:
-    """Tokenized, split section data for one (family, flags) arm.
-
-    Suffix-independent: ``renames`` records (row, col0, col1, name)
-    spans to rewrite; the anchors index into ``lines``.  Cached — the
-    tokenizer pass is the expensive part.
-    """
-    cache_key = (family, flag_key)
-    cached = _section_cache.get(cache_key)
-    if cached is not None:
-        return cached
-
-    names = (_simd._SPEC_NAMES if family == "on"
-             else _simd_off._OFF_SPEC_NAMES)
-    flags = dict(zip(names, flag_key))
-    src = _solo_source(family, flags)
-    renamable = _local_names(src) - _SHARED_NAMES
-    bad = renamable & _KWARG_NAMES
-    if bad:
-        raise FusedUnsupported(f"kwarg_collision:{sorted(bad)[0]}")
-
-    lines = src.split("\n")
-    renames: dict[int, list] = {}
-    prev = None
-    for tok in tokenize.generate_tokens(io.StringIO(src).readline):
-        if tok.type in (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
-                        tokenize.DEDENT, tokenize.COMMENT):
-            continue
-        if (tok.type == tokenize.NAME and tok.string in renamable
-                and not (prev is not None and prev.type == tokenize.OP
-                         and prev.string == ".")):
-            renames.setdefault(tok.start[0], []).append(
-                (tok.start[1], tok.end[1], tok.string))
-        prev = tok
-
-    def _line_index(pred, start=0):
-        for i in range(start, len(lines)):
-            if pred(lines[i]):
-                return i
-        raise FusedUnsupported("anchor_missing")
-
-    i_def = _line_index(lambda l: l.startswith("def "))
-    i_for = _line_index(lambda l: l.startswith("    for now, start, uops"))
-    i_for_end = _line_index(lambda l: l.rstrip().endswith("):"), i_for)
-    i_fold = _line_index(
-        lambda l: l.startswith("    # --- fold the segment"))
-    i_btb = _line_index(lambda l: l.strip() == "# [fused:btb]")
-    i_btb_end = _line_index(lambda l: l.strip() == "# [fused:/btb]")
-
-    data = {
-        "lines": lines, "renames": renames,
-        "i_def": i_def, "i_for": i_for, "i_for_end": i_for_end,
-        "i_fold": i_fold, "i_btb": i_btb, "i_btb_end": i_btb_end,
-    }
-    _section_cache[cache_key] = data
-    return data
-
-
-def _renamed_lines(data: dict, suffix: str) -> list[str]:
-    """The arm source lines with every local suffix-renamed."""
-    lines = list(data["lines"])
-    for row, spans in data["renames"].items():
-        line = lines[row - 1]
-        for c0, c1, name in sorted(spans, reverse=True):
-            line = line[:c0] + name + suffix + line[c1:]
-        lines[row - 1] = line
-    return lines
-
-
-def _fused_source(specs: tuple) -> str:
-    """Assemble the fused driver source for an ordered arm-spec tuple.
-
-    ``specs`` is one ``(family, flag_key)`` pair per arm.  The emitted
-    function runs all arms over lookups ``[begin, end)``::
-
-        def _fused_run(kernels, begin, end): ...
-    """
-    prologue = ["def _fused_run(kernels, begin, end):"]
-    hoists: list[str] = []
-    header: list[str] = []
-    bodies: list[str] = []
-    folds: list[str] = []
-    for j, (family, flag_key) in enumerate(specs):
-        sfx = f"_a{j}"
-        data = _arm_sections(family, flag_key)
-        lines = _renamed_lines(data, sfx)
-        prologue.append(f"    self{sfx} = kernels[{j}]")
-        hoist = lines[data["i_def"] + 1:data["i_for"]]
-        if j > 0:
-            # Arm 0 runs the one BTB pass (trace-only evolution, one
-            # config per group); the other arms replicate its counter
-            # deltas here and receive the final BTB state afterwards
-            # (see run_group).
-            hoist = (hoist[:data["i_btb"] - data["i_def"] - 1] + [
-                f"    if not cfg{sfx}.perfect_btb:",
-                f"        self{sfx}.btb_accesses += hi_a0 - lo_a0",
-                f"        self{sfx}.btb_misses += btb_misses_a0",
-                f"        stats{sfx}.btb_misses += btb_misses_a0",
-            ] + hoist[data["i_btb_end"] - data["i_def"]:])
-        hoists.extend(hoist)
-        if j == 0:
-            header = lines[data["i_for"]:data["i_for_end"] + 1]
-        bodies.extend(lines[data["i_for_end"] + 1:data["i_fold"]])
-        folds.extend(lines[data["i_fold"]:])
-    out = prologue + hoists + header + bodies + folds
-    return "\n".join(line.rstrip() for line in out) + "\n"
-
-
-def _fused_function(specs: tuple):
-    """Compiled fused driver for an arm-spec tuple (memoized)."""
-    if specs in _fused_cache:
-        fn = _fused_cache[specs]
-        if fn is None:
-            raise FusedUnsupported("compile_failed")
-        return fn
-    try:
-        src = _fused_source(specs)
-        ns = dict(vars(_simd))
-        ns.update(vars(_simd_off))
-        exec(spec_code(src, prefix="fused"), ns)
-        fn = ns["_fused_run"]
-    except FusedUnsupported:
-        raise
-    except Exception:
-        _fused_cache[specs] = None
-        raise FusedUnsupported("compile_failed") from None
-    _fused_cache[specs] = fn
-    return fn
-
-
-# --- orchestration ------------------------------------------------------------
-
-
-def _make_kernel(pipeline, trace, warmup, *, columns=None, n_total=None):
-    if kernel_kind(pipeline.policy) is not None:
-        return _Kernel(pipeline, trace, warmup,
-                       columns=columns, n_total=n_total)
-    return _OfflineKernel(pipeline, trace, warmup,
-                          columns=columns, n_total=n_total)
-
-
-def _arm_spec(kernel) -> tuple:
-    if isinstance(kernel, _OfflineKernel):
-        names, family = _simd_off._OFF_SPEC_NAMES, "off"
-    else:
-        names, family = _simd._SPEC_NAMES, "on"
-    flags = kernel._spec_flags()
-    return family, tuple(bool(flags[n]) for n in names)
-
-
 def _window_columns(pipeline, trace, lo: int, hi: int) -> dict:
-    """Windowed derived columns under this pipeline's geometry."""
+    """Derived columns for lookups ``[lo, hi)`` under this geometry.
+
+    The window that covers the whole trace is memoized on it (the key
+    follows the :meth:`Trace.prepared` convention, and
+    :func:`repro.core.trace.drop_simd_memos` evicts it by its ``"simd"``
+    prefix); any shorter window is built fresh and owned by the caller.
+    """
     config = pipeline.config
     uc = config.uop_cache
-    return _gc_paused(lambda: _build_columns(
-        trace,
+    geometry = dict(
         n_sets=uc.sets,
         uops_per_entry=uc.uops_per_entry,
         line_bytes=config.icache.line_bytes,
@@ -327,133 +84,97 @@ def _window_columns(pipeline, trace, lo: int, hi: int) -> dict:
         btb_n_sets=pipeline.btb._n_sets,
         ic_n_sets=config.icache.sets,
         delay=uc.insertion_delay,
-        set_index_fn=pipeline.uop_cache._set_index,
-        lo=lo, hi=hi,
-    ))
+    )
+    set_index_fn = pipeline.uop_cache._set_index
+
+    def build():
+        return _gc_paused(lambda: _build_columns(
+            trace, set_index_fn=set_index_fn, lo=lo, hi=hi, **geometry))
+
+    if hi - lo < len(trace):
+        return build()
+    key = ("simd", *geometry.values(), callable_token(set_index_fn))
+    return trace.memo(key, build)
 
 
-def _segment_bounds(n: int, warmup: int, window: int) -> list[int]:
-    """Cut points: trace ends, the warmup boundary, window multiples."""
-    cuts = {0, n}
-    if 0 < warmup < n:
-        cuts.add(warmup)
-    if window:
-        cuts.update(range(window, n, window))
-    return sorted(cuts)
+def _make_kernel(pipeline, columns: dict, n: int) -> _Kernel:
+    if kernel_kind(pipeline.policy) is not None:
+        return _Kernel(pipeline, columns, n)
+    return _OfflineKernel(pipeline, columns, n)
 
 
 def run_group(pipelines, trace, warmup: int) -> list[SimulationStats]:
-    """Advance all arms over one trace in a single fused pass.
+    """Advance all arms over one trace in a single windowed pass.
 
     Every pipeline must share the trace-shaping config (geometry and
     perfect-structure flags — policy/hints may differ freely) and pass
     :func:`repro.frontend.simd.fallback_reason`; the caller is
-    responsible for both, plus the :func:`fuse_enabled` gate.  Returns
-    one finalized :class:`SimulationStats` per pipeline, bit-identical
-    to running each arm through its solo kernel.
+    responsible for both.  Returns one finalized
+    :class:`SimulationStats` per pipeline, bit-identical to
+    :meth:`FrontendPipeline.run_reference` on each arm.
     """
     if not pipelines:
         return []
-    if len(pipelines) > MAX_ARMS:
-        raise FusedUnsupported("too_many_arms")
-    c0 = pipelines[0].config
-    for p in pipelines[1:]:
-        if p.config != c0:
-            raise FusedUnsupported("config_mismatch")
+    config = pipelines[0].config
+    if any(p.config != config for p in pipelines[1:]):
+        raise FusedUnsupported("config_mismatch")
 
-    # The stage timers cover everything from column build to finalize —
-    # the same span the solo path counts under ``frontend_sim`` (once
-    # per arm there, once per group here), so stage-level comparisons
-    # between the two paths are apples-to-apples.
-    with stagetimer.timed("frontend_sim"), stagetimer.timed("sim_fused"):
+    with stagetimer.timed("sim_kernel"):
         n = len(trace)
-        window = stream_window()
-        bounds = _segment_bounds(n, warmup, window)
+        window = STREAM_WINDOW
+        # Warmup discards the counters once, at the warmup lookup; a
+        # warmup covering the whole trace discards nothing (as in the
+        # reference loop).
+        reset_at = warmup if 0 < warmup < n else -1
 
-        if window:
-            cols = _window_columns(pipelines[0], trace, bounds[0], bounds[1])
-        else:
-            cols = None  # kernels share the memoized full-trace columns
-        kernels = [_make_kernel(p, trace, warmup, columns=cols, n_total=n)
-                   for p in pipelines]
+        columns = _window_columns(pipelines[0], trace, 0, min(n, window))
+        kernels = [_make_kernel(p, columns, n) for p in pipelines]
+        specialize = os.environ.get("REPRO_SIM_SPECIALIZE", "1") != "0"
+        segments = []
         for k in kernels:
-            if isinstance(k, _OfflineKernel):
-                k._bind_specialized()
-
-        mode = fuse_mode()
-        if mode == "interleave":
-            fn = _fused_function(tuple(_arm_spec(k) for k in kernels))
-            segments = None
-        else:
-            fn = None
-            segments = []
-            for k in kernels:
+            spec = None
+            if specialize:
+                if isinstance(k, _OfflineKernel):
+                    k._bind_specialized()
                 spec = k._specialized()
-                segments.append(spec.__get__(k) if spec is not None
-                                else k._segment)
+            segments.append(spec.__get__(k) if spec is not None
+                            else k._segment)
 
+        # The working set is acyclic (columns of ints/tuples plus flat
+        # list records), so the cyclic collector can only cost time
+        # here: every gen-2 pass re-scans the column pointers while the
+        # loop's record churn keeps triggering collections.  Pause it
+        # and restore the caller's setting afterwards.
         gc_was_enabled = _gc.isenabled()
         if gc_was_enabled:
             _gc.disable()
         try:
-            for lo, hi in zip(bounds, bounds[1:]):
-                if window and lo != bounds[0]:
-                    cols = _window_columns(pipelines[0], trace, lo, hi)
+            for lo in range(0, max(n, 1), window):
+                hi = min(n, lo + window)
+                if lo:
+                    # Release the finished window before building the
+                    # next one, so only one is ever live.
+                    columns = None
                     for k in kernels:
-                        k.cols = cols
-                        k.col_base = cols["base"]
-                        k.hist = cols["hist"]
-                if fn is not None:
-                    fn(kernels, lo, hi)
-                else:
-                    for seg in segments:
-                        seg(lo, hi)
-                if hi == warmup:
+                        k.cols = k.hist = None
+                    columns = _window_columns(pipelines[0], trace, lo, hi)
                     for k in kernels:
-                        k.pipeline.stats = SimulationStats()
+                        k._bind_columns(columns)
+                cuts = [lo, reset_at, hi] if lo < reset_at < hi else [lo, hi]
+                for begin, end in zip(cuts, cuts[1:]):
+                    for segment in segments:
+                        segment(begin, end)
+                    if end == reset_at:
+                        for k in kernels:
+                            k.pipeline.stats = SimulationStats()
             for k in kernels:
                 k._drain(n)
         finally:
             if gc_was_enabled:
                 _gc.enable()
 
-        # Interleave only: hand arm 0's final BTB state to the other
-        # arms (the counters were replicated in-loop).  ``update``
-        # preserves the OrderedDict's recency order, so later runs on
-        # these pipelines stay exact.  Striped arms each ran their own
-        # BTB pass.
-        if mode == "interleave" and len(kernels) > 1 and not c0.perfect_btb:
-            src_sets = kernels[0].pipeline.btb._sets
-            for k in kernels[1:]:
-                for dst, src in zip(k.pipeline.btb._sets, src_sets):
-                    dst.clear()
-                    dst.update(src)
-
         results = []
         for k in kernels:
             k._sync_back()
             results.append(k.pipeline._finalize(n))
         return results
-
-
-# --- cache maintenance (see harness.runner.clear_memory_cache) ----------------
-
-
-def fused_cache_stats() -> dict[str, int]:
-    """Entry counts and cumulative evictions of the fused-path caches."""
-    return {
-        "fused_fns": len(_fused_cache),
-        "fused_sections": len(_section_cache),
-        "fused_fns_evicted": _evictions["fused_fns"],
-        "fused_sections_evicted": _evictions["fused_sections"],
-    }
-
-
-def clear_fused_caches() -> int:
-    """Drop the compiled fused drivers and section templates."""
-    dropped = len(_fused_cache) + len(_section_cache)
-    _evictions["fused_fns"] += len(_fused_cache)
-    _evictions["fused_sections"] += len(_section_cache)
-    _fused_cache.clear()
-    _section_cache.clear()
-    return dropped

@@ -43,7 +43,6 @@ geometries x policies x trace lengths against ``run_reference``.
 
 from __future__ import annotations
 
-import os as _os
 from bisect import bisect_right
 
 from ..policies.srrip import RRPV_HIT, RRPV_INSERT, RRPV_MAX
@@ -77,10 +76,8 @@ class _OfflineKernel(_Kernel):
     instead of recency ranking).
     """
 
-    def __init__(self, pipeline, trace, warmup: int, *, columns=None,
-                 n_total=None) -> None:
-        super().__init__(pipeline, trace, warmup, columns=columns,
-                         n_total=n_total)
+    def __init__(self, pipeline, columns: dict, n: int) -> None:
+        super().__init__(pipeline, columns, n)
         policy = pipeline.policy
         # The base constructor resolved the *online* kind (None here);
         # rebind to the offline one — every inherited kind branch in
@@ -140,32 +137,27 @@ class _OfflineKernel(_Kernel):
 
     # --- orchestration -------------------------------------------------------
 
-    def run(self):
-        self._bind_specialized()
-        return super().run()
-
     def _bind_specialized(self) -> None:
-        # Bind the flag-specialized attempt before the segments run:
-        # the generic segment, the specialized segment and _drain all
-        # call through ``self._attempt``, so the instance binding
-        # covers every path (REPRO_SIM_SPECIALIZE=0 keeps the generic
-        # method, whose flag locals branch per attempt instead).  The
-        # fused sweep calls this directly — it drives segments without
-        # going through run().
-        if _os.environ.get("REPRO_SIM_SPECIALIZE", "1") != "0":
-            spec = _off_specialized_attempt({
-                "is_belady": self.kind == "belady",
-                "is_plan": self.kind == "plan",
-                "is_greedy": self.kind == "greedy",
-                "is_furbys": self.kind == "furbys",
-                "start_identity": self.start_identity,
-                "async_aware": self.async_aware,
-                "metric0": self.metric_mode == 0,
-                "metric1": self.metric_mode == 1,
-                "keep_larger": self.keep_larger,
-            })
-            if spec is not None:
-                self._attempt = spec.__get__(self)
+        """Bind the flag-specialized attempt before the segments run.
+
+        The generic segment, the specialized segment and ``_drain`` all
+        call through ``self._attempt``, so the instance binding covers
+        every path; without it (``REPRO_SIM_SPECIALIZE=0``) the generic
+        method branches on its flag locals per attempt instead.
+        """
+        spec = _off_specialized_attempt({
+            "is_belady": self.kind == "belady",
+            "is_plan": self.kind == "plan",
+            "is_greedy": self.kind == "greedy",
+            "is_furbys": self.kind == "furbys",
+            "start_identity": self.start_identity,
+            "async_aware": self.async_aware,
+            "metric0": self.metric_mode == 0,
+            "metric1": self.metric_mode == 1,
+            "keep_larger": self.keep_larger,
+        })
+        if spec is not None:
+            self._attempt = spec.__get__(self)
 
     def _spec_flags(self) -> dict:
         """Run-constant flags the specialized segment bakes in."""
@@ -756,7 +748,6 @@ class _OfflineKernel(_Kernel):
         line_map_get = self.line_map.get
 
         # --- compressed BTB pass (independent of cache state) ---
-        # [fused:btb]
         if not cfg.perfect_btb:
             btb = pipeline.btb
             bsets = btb._sets
@@ -782,7 +773,6 @@ class _OfflineKernel(_Kernel):
             self.btb_accesses += hi - lo
             self.btb_misses += btb_misses
             stats.btb_misses += btb_misses
-        # [fused:/btb]
 
         # --- segment-local counters ---
         pw_partial_hits = 0

@@ -79,12 +79,16 @@ def _digest(payload: object) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:24]
 
 
-def _payload_checksum(payload: dict) -> str:
-    """Canonical sha256 over a JSON payload, excluding the checksum field."""
-    canonical = json.dumps(
+def _canonical_json(payload: dict) -> str:
+    """Sorted-key JSON of a payload, excluding the checksum field."""
+    return json.dumps(
         {k: v for k, v in payload.items() if k != "sha256"}, sort_keys=True
     )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _payload_checksum(payload: dict) -> str:
+    """Canonical sha256 over a JSON payload, excluding the checksum field."""
+    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
 def quarantine(path: Path, reason: str) -> ArtifactError:
@@ -147,11 +151,19 @@ def probe_json(path: Path, kind: str) -> dict | None:
 
 
 def _store_json(path: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["sha256"] = _payload_checksum(payload)
+    """Write ``payload`` with its checksum, encoding it only once.
+
+    The canonical text :func:`_payload_checksum` hashes is also the
+    file body: the ``"sha256"`` field is spliced in before its closing
+    brace, and readers re-derive the canonical form after parsing.
+    """
+    canonical = _canonical_json(payload)
+    field = f'"sha256": "{hashlib.sha256(canonical.encode()).hexdigest()}"'
+    body = canonical[1:-1]
+    text = "{" + (f"{body}, " if body else "") + field + "}"
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(payload))
+        tmp.write_text(text)
         os.replace(tmp, path)
     except OSError:
         resilience.note_fallback("disk_write")

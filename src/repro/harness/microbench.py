@@ -687,7 +687,7 @@ def fused_sim_run(
 
     * ``fused_s``   — :func:`repro.frontend.simd_fused.run_group` over
       fresh pipelines for every arm, best of ``repeats``; ``stages``
-      carries the ``frontend_sim`` / ``sim_fused`` split.
+      carries its ``sim_kernel`` time.
     * ``per_arm_s`` — the same arms through their individual
       :meth:`FrontendPipeline.run` kernels, best of ``repeats``.
 

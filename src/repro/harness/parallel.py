@@ -89,7 +89,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .. import faultinject
+from .. import faultinject, stagetimer
 from ..core.stats import SimulationStats
 from ..core.trace import Trace, TraceColumns, TraceMetadata, trace_fastpath_enabled
 from ..errors import FaultInjectionError, ReproError, TraceError
@@ -388,9 +388,10 @@ def _run_fused_group(group, results):
         if len(eligible) < 2:
             return group
         faultinject.maybe_fail_fused_group()
-        stats_list = simd_fused.run_group(
-            pipelines, trace, first.resolved_warmup()
-        )
+        with stagetimer.timed("frontend_sim"):
+            stats_list = simd_fused.run_group(
+                pipelines, trace, first.resolved_warmup()
+            )
     except simd_fused.FusedUnsupported as exc:
         resilience.note_fallback(f"sim_fallback:fused:{exc.reason}")
         return group

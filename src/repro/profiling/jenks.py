@@ -52,11 +52,23 @@ def jenks_breaks(
     if data.size == 0:
         raise ProfilingError("cannot compute breaks of an empty sequence")
     data = np.sort(data)
-    points, weights = (
-        _quantize(data, max_points) if data.size > max_points else (
-            data.astype(float), np.ones(data.size)
-        )
-    )
+    if data.size > max_points:
+        return _fisher_breaks(*_quantize(data, max_points), n_classes)
+    if n_classes >= data.size:
+        # One class per value is the only partition the DP can return
+        # here, so its breaks are the sorted values themselves.
+        breaks = data.tolist()
+        return breaks + [breaks[-1]] * (n_classes - len(breaks))
+    return _fisher_breaks(data, np.ones(data.size), n_classes)
+
+
+def _fisher_breaks(points: np.ndarray, weights: np.ndarray,
+                   n_classes: int) -> list[float]:
+    """The Fisher/Jenks DP over sorted weighted ``points``.
+
+    Returns ``n_classes`` break values, padded with the maximum when
+    there are fewer points than classes.
+    """
     n = points.size
     k = min(n_classes, n)
 

@@ -121,12 +121,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         for name, count in sim_fallbacks.items():
             print(f"  {name.removeprefix('sim_fallback:'):24s}: {count}")
         from ..core.trace import memo_census
-        from ..frontend import simd, simd_fused, simd_offline
+        from ..frontend import simd, simd_offline
 
         census = memo_census()
         online = simd.segment_cache_stats()
         offline = simd_offline.segment_cache_stats()
-        fused = simd_fused.fused_cache_stats()
         print(f"simd column memos  : {census['entries']} "
               f"(in {census['traces']} traces, "
               f"{census['evicted']} evicted)")
@@ -134,10 +133,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
               f"({online['evicted']} evicted), "
               f"offline {offline['entries']} "
               f"({offline['evicted']} evicted)")
-        print(f"fused drivers      : {fused['fused_fns']} "
-              f"({fused['fused_fns_evicted']} evicted), "
-              f"sections {fused['fused_sections']} "
-              f"({fused['fused_sections_evicted']} evicted)")
         if args.trace is None:
             return 0
     if args.trace is None:

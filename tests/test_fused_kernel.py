@@ -1,16 +1,19 @@
-"""Arm-fused multi-policy sweeps: bit-identity and resilience.
+"""The kernel driver: arm groups, column windows, bit-identity, resilience.
 
-The fused path (:mod:`repro.frontend.simd_fused`, wired into batches by
-the prepass in :mod:`repro.harness.parallel`) must be invisible except
-for speed: every arm's stats bit-identical to the per-arm kernels, the
-``REPRO_SIM_FUSE=0`` escape hatch restoring the old path end-to-end,
-unsupported mixes and injected faults rerouting with counted
-``sim_fallback:fused:<reason>`` reasons, and streaming windows changing
-nothing but peak memory.
+Every kernel run goes through :func:`repro.frontend.simd_fused.run_group`
+(a solo run is a one-arm group; the prepass in
+:mod:`repro.harness.parallel` hands it multi-arm groups).  It must be
+invisible except for speed and memory: every arm's stats bit-identical
+to the per-arm runs and to the reference loop, the ``REPRO_SIM_FUSE=0``
+escape hatch restoring one-arm runs end-to-end, unsupported mixes and
+injected faults rerouting with counted ``sim_fallback:fused:<reason>``
+reasons, and column windows changing nothing but peak memory.
 
 The property suite samples randomized mixed online/offline arm subsets
 (seeded, so failures reproduce) at three trace scales and compares the
-fused batch against the per-arm reference batch field by field.
+fused batch against the per-arm reference batch field by field.  The
+window-boundary suite shrinks ``STREAM_WINDOW`` so short traces cross
+window edges, and checks that a streamed trace memoizes no columns.
 """
 
 from __future__ import annotations
@@ -21,10 +24,17 @@ import random
 
 import pytest
 
+from repro.config import preset
 from repro.core.trace import memo_census
 from repro.frontend import simd, simd_fused, simd_offline
+from repro.frontend.pipeline import FrontendPipeline
 from repro.harness.parallel import run_batch
 from repro.harness.runner import RunRequest, clear_memory_cache
+from repro.offline.belady import BeladyPolicy
+from repro.offline.flack import FLACKPolicy
+from repro.policies import make_policy
+from repro.policies.furbys import FurbysPolicy
+from repro.workloads.registry import get_trace
 
 ONLINE_ARMS = ("lru", "srrip", "random", "ghrp")
 OFFLINE_ARMS = (
@@ -98,32 +108,9 @@ def test_streaming_window_matches_monolithic(monkeypatch):
     arms = ("lru", "ghrp", "belady", "furbys", "flack[A]")
     requests = _requests("kafka", 20000, arms)
     monolithic, _ = _run_cold(requests, monkeypatch, fuse=True)
-    windowed, report = _run_cold(
-        requests, monkeypatch, fuse=True, REPRO_SIM_STREAM_WINDOW="4096"
-    )
+    monkeypatch.setattr(simd_fused, "STREAM_WINDOW", 4096)
+    windowed, report = _run_cold(requests, monkeypatch, fuse=True)
     assert windowed == monolithic
-    assert report.faults.fused.get("sim_fused:served") == len(arms)
-
-
-def test_stream_window_knob_is_clamped(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_STREAM_WINDOW", "7")
-    assert simd_fused.stream_window() == 4096
-    monkeypatch.setenv("REPRO_SIM_STREAM_WINDOW", "0")
-    assert simd_fused.stream_window() == 0
-    monkeypatch.setenv("REPRO_SIM_STREAM_WINDOW", "garbage")
-    assert simd_fused.stream_window() == 0
-    monkeypatch.setenv("REPRO_SIM_STREAM_WINDOW", "50000")
-    assert simd_fused.stream_window() == 50000
-
-
-def test_interleave_mode_bit_identity(monkeypatch):
-    arms = ("lru", "srrip", "ghrp", "belady", "thermometer")
-    requests = _requests("kafka", 20000, arms)
-    interleaved, report = _run_cold(
-        requests, monkeypatch, fuse=True, REPRO_SIM_FUSE_MODE="interleave"
-    )
-    reference, _ = _run_cold(requests, monkeypatch, fuse=False)
-    assert interleaved == reference
     assert report.faults.fused.get("sim_fused:served") == len(arms)
 
 
@@ -173,27 +160,99 @@ def test_injected_fused_fault_reroutes_per_arm(monkeypatch, tmp_path):
 
 
 def test_clear_memory_cache_drops_sim_caches(monkeypatch):
-    # striped populates the solo segment caches; a second batch in
-    # interleave mode (no clear in between) adds the fused driver.
     _run_cold(_requests("kafka", 1000, ("lru", "belady")),
               monkeypatch, fuse=True)
-    monkeypatch.setenv("REPRO_SIM_FUSE_MODE", "interleave")
-    results, _ = run_batch(
-        _requests("kafka", 1000, ("srrip", "thermometer")), jobs=1
-    )
-    monkeypatch.delenv("REPRO_SIM_FUSE_MODE")
-    assert all(stats is not None for stats in results)
     assert simd.segment_cache_stats()["entries"] >= 1
     assert simd_offline.segment_cache_stats()["entries"] >= 1
-    assert simd_fused.fused_cache_stats()["fused_fns"] >= 1
     assert memo_census()["entries"] >= 1
     before = (simd.segment_cache_stats()["evicted"],
-              simd_fused.fused_cache_stats()["fused_fns_evicted"])
+              simd_offline.segment_cache_stats()["evicted"])
     clear_memory_cache()
     gc.collect()  # offline kernels self-reference via bound methods
     assert simd.segment_cache_stats()["entries"] == 0
     assert simd_offline.segment_cache_stats()["entries"] == 0
-    assert simd_fused.fused_cache_stats()["fused_fns"] == 0
     assert memo_census()["entries"] == 0
     assert simd.segment_cache_stats()["evicted"] > before[0]
-    assert simd_fused.fused_cache_stats()["fused_fns_evicted"] > before[1]
+    assert simd_offline.segment_cache_stats()["evicted"] > before[1]
+
+
+# --- window boundaries --------------------------------------------------------
+
+#: The shrunken window the boundary suite runs under.
+W = 4096
+#: Zen3's insertion delay: the completion lag that reaches across a
+#: window edge.
+DELAY = preset("zen3").uop_cache.insertion_delay
+BOUNDARY_CASES = [
+    (W - 1, 0),
+    (W, W // 2),
+    (W + 1, 2 * (W + 1) // 3),
+    (2 * W + DELAY, W),            # warmup exactly on a window edge
+    (2 * W + DELAY, W + W // 3),   # warmup inside the second window
+]
+BOUNDARY_ARMS = ("ghrp", "flack", "furbys", "belady-profile")
+
+
+def _boundary_pipeline(arm: str, trace, config) -> FrontendPipeline:
+    """A fresh pipeline for one boundary-suite arm.
+
+    ``furbys`` carries synthetic hints (a pure function of the start),
+    and ``belady-profile`` is the profiling-replay shape: an offline
+    policy with per-PW hit-rate recording.
+    """
+    if arm == "ghrp":
+        return FrontendPipeline(config, make_policy("ghrp"))
+    if arm == "flack":
+        return FrontendPipeline(config, FLACKPolicy(trace, config.uop_cache))
+    if arm == "furbys":
+        hints = {start: (start >> 4) % 8 for start in trace.unique_starts()}
+        return FrontendPipeline(config, FurbysPolicy(), hints=hints)
+    assert arm == "belady-profile"
+    return FrontendPipeline(config, BeladyPolicy(trace),
+                            record_hit_rates=True)
+
+
+def _outcome(pipeline: FrontendPipeline, stats) -> tuple:
+    return dataclasses.asdict(stats), pipeline.pw_hit_stats
+
+
+def _simd_memos(trace) -> list:
+    return [key for key in trace._derived
+            if isinstance(key, tuple) and key and key[0] == "simd"]
+
+
+@pytest.mark.parametrize("n,warmup", BOUNDARY_CASES,
+                         ids=[f"n{n}-w{w}" for n, w in BOUNDARY_CASES])
+def test_window_boundaries_match_reference(n, warmup, monkeypatch):
+    monkeypatch.setattr(simd_fused, "STREAM_WINDOW", W)
+    clear_memory_cache()
+    config = preset("zen3").with_uop_cache(entries=64, ways=8)
+    trace = get_trace("kafka", "default", n)
+    assert len(trace) == n
+
+    reference = []
+    for arm in BOUNDARY_ARMS:
+        pipeline = _boundary_pipeline(arm, trace, config)
+        reference.append(
+            _outcome(pipeline, pipeline.run_reference(trace, warmup=warmup)))
+
+    solo = []
+    for arm in BOUNDARY_ARMS:
+        pipeline = _boundary_pipeline(arm, trace, config)
+        assert simd.fallback_reason(pipeline) is None, arm
+        solo.append(_outcome(pipeline, pipeline.run(trace, warmup=warmup)))
+
+    pipelines = [_boundary_pipeline(arm, trace, config)
+                 for arm in BOUNDARY_ARMS]
+    grouped = [
+        _outcome(pipeline, stats) for pipeline, stats in zip(
+            pipelines, simd_fused.run_group(pipelines, trace, warmup))
+    ]
+
+    assert solo == reference
+    assert grouped == reference
+    if n > W:
+        # A streamed trace keeps no full-trace column memo.
+        assert _simd_memos(trace) == []
+    else:
+        assert len(_simd_memos(trace)) == 1

@@ -228,6 +228,27 @@ class TestCacheIntegrity:
         (tmp_path / f"{request.cache_key()}.12345.tmp").write_text("{trunc")
         assert run(request).uops_total > 0
 
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"stats": {"uops_total": 3, "hit_rate": 0.5}, "request": {"app": "k"}},
+        {"rates": [[7, 0.25]], "sha256": "stale", "note": "é \"quoted\""},
+    ], ids=["empty", "nested", "stale-checksum"])
+    def test_stored_json_round_trips_with_checksum(self, tmp_path, payload):
+        import hashlib
+
+        from repro.harness.artifacts import _store_json, load_validated_json
+
+        path = tmp_path / "entry.json"
+        _store_json(path, payload)
+        loaded = load_validated_json(path, "test")
+        expected = {k: v for k, v in payload.items() if k != "sha256"}
+        assert {k: v for k, v in loaded.items() if k != "sha256"} == expected
+        # Same checksum definition as before: sha256 of the sorted JSON
+        # without the checksum field.
+        canonical = json.dumps(expected, sort_keys=True)
+        assert loaded["sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+        assert not (tmp_path / "entry.json.corrupt").exists()
+
 
 class TestQuarantine:
     """Corrupt disk artifacts are set aside as ``*.corrupt``, counted,

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import zen3_config
-from repro.core.trace import Trace
+from repro.core.trace import Trace, TraceColumns
 from repro.errors import ProfilingError
 from repro.frontend.pipeline import FrontendPipeline
 from repro.policies.furbys import FurbysPolicy
@@ -79,6 +79,19 @@ class TestHints:
                    pw(0x2, branch=False, contains_branch=False),
                    pw(0x3, branch=False, contains_branch=True)]
         assert hintable_starts(Trace(lookups)) == {0x1, 0x3}
+
+    def test_column_backed_hintable_starts_build_no_lookups(self):
+        lookups = [pw(0x1, branch=True),
+                   pw(0x2, branch=False, contains_branch=False),
+                   pw(0x3, branch=False, contains_branch=True)]
+        packed = Trace(columns=TraceColumns.from_lookups(lookups))
+        assert hintable_starts(packed) == {0x1, 0x3}
+        assert packed._lookups is None  # answered from the packed flags
+
+    def test_profiling_builds_no_lookup_objects(self, config):
+        packed = Trace(columns=cyclic_trace(20, 10).columns)
+        profile_application(packed, config)
+        assert packed._lookups is None
 
     def test_hint_values_fit_bit_width(self, trace, config):
         rates = collect_hit_rates(trace, config)

@@ -4,6 +4,7 @@ greedy admission capacity, and the shadow classifier."""
 
 import io
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from repro.offline.plan import greedy_admission
 from repro.policies.furbys import FurbysPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.srrip import SRRIPPolicy
-from repro.profiling.jenks import jenks_breaks, jenks_group
+from repro.profiling.jenks import _fisher_breaks, jenks_breaks, jenks_group
 from repro.uopcache.cache import UopCache
 
 from .conftest import pw
@@ -120,6 +121,21 @@ def test_jenks_grouping_is_monotone(values):
     ordered = sorted(values)
     groups = [jenks_group(v, breaks) for v in ordered]
     assert groups == sorted(groups)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12)
+    | st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=12),
+    st.integers(min_value=0, max_value=6),
+)
+def test_jenks_one_class_per_value_shortcut_matches_dp(values, extra):
+    """With at least one class per value, the shortcut returns exactly
+    what the dynamic program computes (duplicates included)."""
+    k = len(values) + extra
+    points = np.sort(np.asarray(values, dtype=float))
+    assert jenks_breaks(values, k) == _fisher_breaks(
+        points, np.ones(points.size), k)
 
 
 # --- greedy admission capacity ----------------------------------------------------
