@@ -3,14 +3,12 @@
 
 Mirror of ``bench_sim_kernel.py`` for the offline and profile-guided
 arms (Belady, FOO replay, FLACK, FURBYS, Thermometer — the policies
-:mod:`repro.frontend.simd_offline` covers).  Three arms, each a fresh
+:mod:`repro.frontend.simd_offline` covers).  Two arms, each a fresh
 interpreter (process-cold) over a pre-warmed on-disk trace + profiling
 artifact cache:
 
-* ``kernel``     — ``FrontendPipeline.run`` with ``REPRO_SIM_FASTPATH=1``
-                   (the ``simd_offline`` kernel; the default).
-* ``fastloop``   — ``FrontendPipeline.run`` with ``REPRO_SIM_FASTPATH=0``
-                   (the prepared-trace ``_run_segment`` loop).
+* ``kernel``     — ``FrontendPipeline.run`` (the ``simd_offline``
+                   kernel).
 * ``reference``  — ``FrontendPipeline.run_reference`` (the original
                    object-at-a-time ``step()`` loop).
 
@@ -22,7 +20,7 @@ construction and trace load are reported separately.  ``serial_s``
 still records the full cold batch for context.
 
 A separate identity phase reruns every app x policy combination at
-``--identity-len`` lookups through all three arms in one process and
+``--identity-len`` lookups through both arms in one process and
 compares ``SimulationStats`` field-by-field (``identical_results``).
 
 Usage::
@@ -114,7 +112,7 @@ json.dump({
 
 #: Identity phase: all apps x policies x arms at the identity length.
 _IDENTITY = r"""
-import dataclasses, json, os, sys
+import dataclasses, json, sys
 from repro.frontend.pipeline import FrontendPipeline
 from repro.harness.runner import RunRequest, _build_policy_and_hints
 from repro.workloads.registry import get_trace
@@ -132,14 +130,9 @@ for app in apps:
             policy, hints = _build_policy_and_hints(request, config, trace)
             return FrontendPipeline(config, policy, hints=hints)
 
-        os.environ["REPRO_SIM_FASTPATH"] = "1"
         st_kernel = dataclasses.asdict(_fresh().run(trace))
-        os.environ["REPRO_SIM_FASTPATH"] = "0"
-        st_fastloop = dataclasses.asdict(_fresh().run(trace))
         st_reference = dataclasses.asdict(_fresh().run_reference(trace))
-        matrix[f"{app}/{pname}"] = (
-            st_kernel == st_fastloop == st_reference
-        )
+        matrix[f"{app}/{pname}"] = st_kernel == st_reference
 json.dump({"matrix": matrix, "identical": all(matrix.values())},
           sys.stdout)
 """
@@ -167,14 +160,12 @@ def main(argv: list[str] | None = None) -> int:
         warm = run_json(_WARM, [args.apps, args.policies, lens], env=env)
 
         arms = {}
-        for mode in ("kernel", "fastloop", "reference"):
-            arm_env = dict(env)
-            arm_env["REPRO_SIM_FASTPATH"] = "0" if mode == "fastloop" else "1"
+        for mode in ("kernel", "reference"):
             arms[mode] = best_of(
                 args.repeats,
                 lambda: run_json(
                     _ARM, [mode, args.apps, args.policies, args.trace_len],
-                    env=arm_env,
+                    env=env,
                 ),
                 key="sim_s",
             )
@@ -196,8 +187,6 @@ def main(argv: list[str] | None = None) -> int:
         "arms": arms,
         "speedup": round(arms["reference"]["sim_s"]
                          / arms["kernel"]["sim_s"], 3),
-        "speedup_vs_fastloop": round(arms["fastloop"]["sim_s"]
-                                     / arms["kernel"]["sim_s"], 3),
         "identity_len": args.identity_len,
         "identical_results": identity["identical"],
         "identity_matrix": identity["matrix"],

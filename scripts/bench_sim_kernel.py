@@ -1,16 +1,13 @@
 #!/usr/bin/env python
 """Benchmark the vectorized simulation kernel against the reference loops.
 
-Three arms, each a fresh interpreter (process-cold) over a pre-warmed
+Two arms, each a fresh interpreter (process-cold) over a pre-warmed
 on-disk trace cache, so the comparison isolates the *simulation* change:
 trace generation (~50us/lookup, identical in every arm) is paid once in
 an untimed setup phase and reported separately as ``trace_warm_s``.
 
-* ``kernel``     — ``FrontendPipeline.run`` with ``REPRO_SIM_FASTPATH=1``
-                   (the ``repro.frontend.simd`` kernel; the default).
-* ``fastloop``   — ``FrontendPipeline.run`` with ``REPRO_SIM_FASTPATH=0``
-                   (the prepared-trace ``_run_segment`` loop the kernel
-                   replaces — the bit-identity reference knob).
+* ``kernel``     — ``FrontendPipeline.run`` (the ``repro.frontend.simd``
+                   kernel).
 * ``reference``  — ``FrontendPipeline.run_reference`` (the original
                    object-at-a-time ``step()`` loop, the ~67-84k
                    lookups/s engine BENCH_hotpath.json recorded).
@@ -18,11 +15,10 @@ an untimed setup phase and reported separately as ``trace_warm_s``.
 Each arm executes the full apps x policies batch serially — trace load
 from disk, pipeline construction, simulation — and reports aggregate
 lookups/s over the batch wall-clock (best of ``--repeats`` cold
-processes).  The headline ``speedup`` is kernel vs. ``reference``;
-``speedup_vs_fastloop`` is also recorded.
+processes).  The headline ``speedup`` is kernel vs. ``reference``.
 
 A separate identity phase reruns every app x policy combination at
-``--identity-len`` lookups through all three arms in one process and
+``--identity-len`` lookups through both arms in one process and
 compares ``SimulationStats`` field-by-field (``identical_results``).
 
 Usage::
@@ -105,7 +101,7 @@ json.dump({
 
 #: Identity phase: all apps x policies x arms at the identity length.
 _IDENTITY = r"""
-import dataclasses, json, os, sys
+import dataclasses, json, sys
 from repro.config import zen3_config
 from repro.frontend.pipeline import FrontendPipeline
 from repro.policies.ghrp import GHRPPolicy
@@ -123,17 +119,11 @@ matrix = {}
 for app in apps:
     trace = get_trace(app, n_lookups=n)
     for pname in policies:
-        os.environ["REPRO_SIM_FASTPATH"] = "1"
         kernel = FrontendPipeline(config, POLICIES[pname]())
         st_kernel = dataclasses.asdict(kernel.run(trace))
-        os.environ["REPRO_SIM_FASTPATH"] = "0"
-        fastloop = FrontendPipeline(config, POLICIES[pname]())
-        st_fastloop = dataclasses.asdict(fastloop.run(trace))
         reference = FrontendPipeline(config, POLICIES[pname]())
         st_reference = dataclasses.asdict(reference.run_reference(trace))
-        matrix[f"{app}/{pname}"] = (
-            st_kernel == st_fastloop == st_reference
-        )
+        matrix[f"{app}/{pname}"] = st_kernel == st_reference
 json.dump({"matrix": matrix, "identical": all(matrix.values())},
           sys.stdout)
 """
@@ -160,14 +150,12 @@ def main(argv: list[str] | None = None) -> int:
         warm = run_json(_WARM, [args.apps, lens], env=env)
 
         arms = {}
-        for mode in ("kernel", "fastloop", "reference"):
-            arm_env = dict(env)
-            arm_env["REPRO_SIM_FASTPATH"] = "0" if mode == "fastloop" else "1"
+        for mode in ("kernel", "reference"):
             arms[mode] = best_of(
                 args.repeats,
                 lambda: run_json(
                     _ARM, [mode, args.apps, args.policies, args.trace_len],
-                    env=arm_env,
+                    env=env,
                 ),
                 key="serial_s", readings_key="readings_s",
             )
@@ -188,8 +176,6 @@ def main(argv: list[str] | None = None) -> int:
         "arms": arms,
         "speedup": round(arms["reference"]["serial_s"]
                          / arms["kernel"]["serial_s"], 3),
-        "speedup_vs_fastloop": round(arms["fastloop"]["serial_s"]
-                                     / arms["kernel"]["serial_s"], 3),
         "identity_len": args.identity_len,
         "identical_results": identity["identical"],
         "identity_matrix": identity["matrix"],

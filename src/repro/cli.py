@@ -243,8 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--trace-len", type=int,
-        help="PW lookups per trace (sets REPRO_TRACE_LEN; needs fresh process "
-             "caches to take effect on already-generated traces)",
+        help="PW lookups per trace (sets REPRO_TRACE_LEN)",
     )
     parser.add_argument(
         "--jobs", type=int,
@@ -265,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--micro", action="store_true",
         help="bench only: per-stage single-run microbenchmark "
-             "(trace gen / policy build / prepare / pipeline / hooks)",
+             "(trace gen / policy build / run / reference / hooks)",
     )
     parser.add_argument(
         "--chaos", action="store_true",
@@ -290,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
              "('policy_build': policy construction with its per-stage "
              "breakdown; 'trace_build': cold trace construction — no "
              "simulation loops either way; 'frontend_sim': kernel vs "
-             "fastloop vs reference simulation arms; 'offline_sim': the "
+             "reference simulation arms; 'offline_sim': the "
              "same over the offline/profile-guided policies; 'fused_sim': "
              "one arm-fused sweep vs the per-arm kernels)",
     )

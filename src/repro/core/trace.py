@@ -12,10 +12,10 @@ Two backing representations share the one façade:
 * packed **columns** (:class:`TraceColumns`): five parallel stdlib
   ``array`` columns — starts, uops, insts, byte lengths and a flag
   bitmask — at ~21 bytes per lookup instead of ~10x that for a
-  ``PWLookup`` object.  Aggregates (:meth:`Trace._totals`),
-  :meth:`Trace.prepared` and the offline future index run single tight
-  passes over the columns; the object list is materialized lazily only
-  when a consumer (the simulation pipeline) actually indexes lookups.
+  ``PWLookup`` object.  Aggregates (:meth:`Trace._totals`), the kernel
+  column passes and the offline future index run single tight passes
+  over the columns; the object list is materialized lazily only when a
+  consumer (the reference simulation loop) actually indexes lookups.
 
 ``REPRO_TRACE_FASTPATH=0`` restores the reference path end-to-end:
 generation emits objects, no columnar backing, no binary disk trace
@@ -94,7 +94,7 @@ def trace_fastpath_enabled() -> bool:
 def callable_token(fn: Callable) -> Hashable:
     """A stable memo-key identity for a callable.
 
-    Memo keys (:meth:`Trace.prepared`, :meth:`Trace.memo` callers) used
+    Memo keys (:meth:`Trace.memo` callers) used
     to embed the function object itself, which pinned closures for the
     trace's lifetime and made equivalent references of one module-level
     function look distinct.  Instead:
@@ -271,27 +271,6 @@ class TraceColumns:
         return cls(*columns)
 
 
-@dataclass(slots=True)
-class PreparedTrace:
-    """Per-lookup derived data under one cache geometry.
-
-    Built once by :meth:`Trace.prepared` and consumed by the frontend
-    pipeline's hot loop so per-lookup quantities that only depend on
-    the (PW, geometry) pair — micro-op cache set index, entry size,
-    icache line count of the full byte range — are computed once per
-    *unique* PW instead of on every dynamic lookup.  All sequences are
-    parallel to ``lookups``.
-    """
-
-    lookups: list[PWLookup]
-    #: Micro-op cache set index of each lookup's start address.
-    set_indices: list[int]
-    #: Cache entries the lookup occupies (``pw_size`` under geometry).
-    entry_sizes: list[int]
-    #: Icache lines covering the full ``[start, end)`` byte range.
-    line_counts: list[int]
-
-
 #: Every constructed trace, weakly held — the census below never pins
 #: one.  Keyed by id() because Trace is equality-comparable (unhashable);
 #: a dead entry's reused id simply overwrites the vacated slot.
@@ -329,8 +308,8 @@ def memo_census() -> dict[str, int]:
     """Memory-resident per-trace memo entries, across all live traces.
 
     Memoized derived data (:meth:`Trace.memo` artifacts such as the
-    columnar future index and the simd kernel columns, plus
-    :meth:`Trace.prepared` results) lives only in each trace's
+    columnar future index and the simd kernel columns)
+    lives only in each trace's
     ``_derived`` dict, so it is released exactly when the trace itself
     is.  After :func:`repro.harness.runner.clear_memory_cache` drops the
     registry LRU (and ``gc.collect()`` clears any cycles), the census
@@ -364,8 +343,8 @@ class Trace:
     module docstring); ``lookups`` materializes the object list lazily
     from columns, and ``columns`` packs the object list lazily on first
     (de)serialization or fan-out use.  Derived aggregates
-    (``total_uops`` & friends) and geometry-specific precomputations
-    (:meth:`prepared`) are memoized in ``_derived``, keyed by the
+    (``total_uops`` & friends) and :meth:`memo` artifacts are memoized
+    in ``_derived``, keyed by the
     lookup-sequence length so appends invalidate them automatically.
     Callers that mutate ``lookups`` *in place without changing its
     length* must call :meth:`invalidate_derived`.
@@ -441,7 +420,7 @@ class Trace:
         )
 
     # Keep pickles (process-pool workers, disk snapshots) free of the
-    # derived caches: prepared()'s keys may hold unpicklable weakrefs.
+    # derived caches: memo keys may hold unpicklable weakrefs.
     # Column-backed traces ship their packed arrays (compact and cheap
     # to unpickle) instead of 45k PWLookup objects.
     def __getstate__(self):
@@ -474,9 +453,8 @@ class Trace:
     def memo(self, key: Hashable, build: Callable[[], object]):
         """Memoize ``build()`` on this trace, invalidated by appends.
 
-        The same length-guard convention as :meth:`prepared`: entries
-        are keyed by ``(len(lookups), value)`` so growing the trace
-        drops them automatically.  Offline policies use this to share
+        Entries are stored as ``(len(lookups), value)``, so growing
+        the trace drops them automatically.  Offline policies use this to share
         per-trace artifacts (future indices, interval decompositions)
         across policy instances.  Callers embedding callables in ``key``
         should wrap them with :func:`callable_token` so closures are not
@@ -533,68 +511,6 @@ class Trace:
         if insts == 0:
             return 0.0
         return 1000.0 * branches / insts
-
-    def prepared(
-        self,
-        *,
-        n_sets: int,
-        uops_per_entry: int,
-        line_bytes: int,
-        set_index_fn: Callable[[int, int], int],
-    ) -> PreparedTrace:
-        """Per-lookup derived data under the given cache geometry.
-
-        Interns the computation per unique PW: the set index and line
-        count are computed once per distinct ``(start, bytes_len)`` and
-        the entry size once per distinct ``uops``, then broadcast to
-        every dynamic occurrence.  ``set_index_fn`` must be pure (all
-        shipped index functions are).  The result is memoized per
-        geometry — keyed through :func:`callable_token`, so equivalent
-        references of one index function share a single pass and the
-        callable is not pinned — and several policies simulating the
-        same trace share it.
-        """
-        key = ("prepared", n_sets, uops_per_entry, line_bytes,
-               callable_token(set_index_fn))
-        n = len(self)
-        cached = self._derived.get(key)
-        if cached is not None and cached[0] == n:
-            return cached[1]
-        set_index_of: dict[int, int] = {}
-        size_of: dict[int, int] = {}
-        lines_of: dict[tuple[int, int], int] = {}
-        set_indices: list[int] = []
-        entry_sizes: list[int] = []
-        line_counts: list[int] = []
-        if self.has_columns():
-            # Tight pass over the packed columns: the three derived
-            # quantities only need (start, uops, bytes_len), so no
-            # PWLookup attribute access (or materialization) is needed.
-            columns = self._columns
-            rows = zip(columns.starts, columns.uops, columns.bytes_len)
-        else:
-            rows = ((pw.start, pw.uops, pw.bytes_len) for pw in self.lookups)
-        for start, uops, bytes_len in rows:
-            idx = set_index_of.get(start)
-            if idx is None:
-                idx = set_index_of[start] = set_index_fn(start, n_sets)
-            set_indices.append(idx)
-            size = size_of.get(uops)
-            if size is None:
-                size = size_of[uops] = -(-uops // uops_per_entry)
-            entry_sizes.append(size)
-            span = (start, bytes_len)
-            n_lines = lines_of.get(span)
-            if n_lines is None:
-                end = start + bytes_len
-                n_lines = (end - 1) // line_bytes - start // line_bytes + 1
-                lines_of[span] = n_lines
-            line_counts.append(n_lines)
-        prepared = PreparedTrace(
-            self.lookups, set_indices, entry_sizes, line_counts
-        )
-        self._derived[key] = (n, prepared)
-        return prepared
 
     def unique_starts(self) -> set[int]:
         """Distinct PW start addresses (static code footprint in PWs)."""

@@ -22,6 +22,11 @@ This is the behavioural simulator every policy runs under.  Per lookup
 
 Path switches, BTB accesses, decode activity and all power-model
 counters are accounted along the way.
+
+:meth:`FrontendPipeline.step` is the reference implementation of one
+lookup.  :meth:`FrontendPipeline.run` hands every configuration the
+vectorized kernels support to them and runs the ``step`` loop
+(:meth:`FrontendPipeline.run_reference`) for the rest.
 """
 
 from __future__ import annotations
@@ -32,16 +37,13 @@ from .. import stagetimer
 from ..config import SimulationConfig
 from ..core.pw import PWLookup
 from ..core.stats import MissClass, SimulationStats
-from ..core.trace import PreparedTrace, Trace
+from ..core.trace import Trace
 from ..uopcache.cache import UopCache
 from ..uopcache.replacement import ReplacementPolicy
 from .accumulator import Accumulator, InsertionRequest
 from .branch import BranchTargetBuffer
 from .decoder import LegacyDecoder
 from .icache import InstructionCache
-
-#: Sentinel "no pending insertion" due time for the hot loop.
-_NEVER = float("inf")
 
 
 class _ShadowClassifier:
@@ -137,15 +139,6 @@ class FrontendPipeline:
         #: pipeline (STEP 5 of Figure 6) when enabled.
         self.pw_hit_stats: dict[int, list[int]] | None = (
             {} if record_hit_rates else None
-        )
-        # The base-class observation hooks are no-ops; the hot loop
-        # skips the calls a policy does not override (pure dead work).
-        policy_type = type(policy)
-        self._policy_observes_lookups = (
-            policy_type.on_lookup is not ReplacementPolicy.on_lookup
-        )
-        self._policy_observes_misses = (
-            policy_type.on_miss is not ReplacementPolicy.on_miss
         )
 
     # --- components ------------------------------------------------------------
@@ -318,11 +311,11 @@ class FrontendPipeline:
         return self.stats
 
     def run_reference(self, trace: Trace, warmup: int = 0) -> SimulationStats:
-        """Simulate via :meth:`step` — the unoptimized reference loop.
+        """Simulate via :meth:`step` — the reference loop.
 
-        Kept as the semantic baseline the optimized :meth:`run` is
-        verified against (golden-stats and property tests) and as the
-        "before" arm of the hot-path microbenchmark.
+        The semantic baseline the kernels are verified against
+        (golden-stats and property tests), and what :meth:`run` runs
+        for configurations no kernel serves.
         """
         for now, lookup in enumerate(trace):
             if now == warmup and warmup > 0:
@@ -340,361 +333,21 @@ class FrontendPipeline:
         kinds plus the offline and profile-guided families — Belady,
         FOO/FLACK replay, FURBYS, Thermometer) run the vectorized
         :mod:`repro.frontend.simd` / :mod:`repro.frontend.simd_offline`
-        kernels as a one-arm :func:`repro.frontend.simd_fused.run_group`
-        unless ``REPRO_SIM_FASTPATH=0``; everything else runs the
-        prepared-trace loop below, counting the reason under a
-        ``sim_fallback:<policy>:<reason>`` fallback counter.  All paths
-        are bit-identical to :meth:`run_reference` / :meth:`step` — see
+        kernels as a one-arm :func:`repro.frontend.simd_fused.run_group`;
+        everything else runs :meth:`run_reference`, counting the reason
+        under a ``sim_fallback:<policy>:<reason>`` fallback counter.
+        The kernels are bit-identical to :meth:`run_reference` — see
         ``tests/test_golden_stats.py``, ``tests/test_sim_kernel.py``
         and ``tests/test_offline_kernel.py``.
         """
         from . import simd
 
         with stagetimer.timed("frontend_sim"):
-            if simd.sim_fastpath_enabled():
-                reason = simd.fallback_reason(self)
-                if reason is None:
-                    return simd.run_kernel(self, trace, warmup)
-                from ..harness import resilience
+            reason = simd.fallback_reason(self)
+            if reason is None:
+                return simd.run_kernel(self, trace, warmup)
+            from ..harness import resilience
 
-                resilience.note_fallback(
-                    f"sim_fallback:{self.policy.name}:{reason}")
-            prepared = trace.prepared(
-                n_sets=self.uop_cache.n_sets,
-                uops_per_entry=self.config.uop_cache.uops_per_entry,
-                line_bytes=self.config.icache.line_bytes,
-                set_index_fn=self.uop_cache._set_index,
-            )
-            n = len(prepared.lookups)
-            if 0 < warmup < n:
-                self._run_segment(prepared, 0, warmup)
-                self.stats = SimulationStats()
-                self._run_segment(prepared, warmup, n)
-            else:
-                self._run_segment(prepared, 0, n)
-            return self._finalize(n)
-
-    def _run_segment(self, prepared: PreparedTrace, begin: int, end: int) -> None:
-        """Hot loop: process ``prepared`` lookups ``[begin, end)``.
-
-        Mirrors :meth:`step` exactly, with attribute lookups hoisted to
-        locals, counters accumulated in locals and flushed once at the
-        end of the segment (no observer reads :attr:`stats` mid-run),
-        and the precomputed per-lookup set index / entry size / line
-        count replacing per-step recomputation.
-        """
-        stats = self.stats
-        cfg = self.config
-        lookups = prepared.lookups
-        set_indices = prepared.set_indices
-        entry_sizes = prepared.entry_sizes
-        line_counts = prepared.line_counts
-
-        perfect_btb = cfg.perfect_btb
-        perfect_bp = cfg.perfect_branch_predictor
-        perfect_icache = cfg.perfect_icache
-        inclusive = cfg.uop_cache.inclusive_with_icache
-        line_bytes = cfg.icache.line_bytes
-        btb = self.btb
-        btb_access = btb.access
-        btb_sets = btb._sets
-        btb_n_sets = btb._n_sets
-        btb_ways = btb.config.btb_ways
-        decoder = self.decoder
-        decode_width = decoder.config.decode_width
-        icache = self.icache
-        icache_access_range = icache.access_range
-        icache_sets = icache._sets
-        icache_n_sets = icache.config.sets
-        icache_ways = icache.config.ways
-        invalidate_line = self.uop_cache.invalidate_line
-        complete_due = self._complete_due_insertions
-        pending = self._pending
-        in_flight = self._in_flight
-        accumulator = self.accumulator
-        hints_get = accumulator._hints.get
-        try_insert = self.uop_cache.try_insert
-        insertion_delay = cfg.uop_cache.insertion_delay
-        uops_per_entry = cfg.uop_cache.uops_per_entry
-        classifier = self._classifier
-        pw_hit_stats = self.pw_hit_stats
-        policy = self.policy
-        on_hit = policy.on_hit
-        on_partial_hit = policy.on_partial_hit
-        on_lookup = policy.on_lookup if self._policy_observes_lookups else None
-        on_miss = policy.on_miss if self._policy_observes_misses else None
-        pws_by_set = [cset.pws for cset in self.uop_cache.sets]
-        on_uop_path = self._on_uop_path
-
-        # Segment-local counter accumulators (flushed to ``stats`` once).
-        n_lookups = uops_total = instructions = 0
-        branches = btb_accesses = btb_misses = mispredictions = 0
-        pw_hits = pw_partial_hits = pw_misses = 0
-        uops_hit = uops_missed = 0
-        uop_cache_reads = uop_cache_writes = decoder_uops = 0
-        path_switches = icache_accesses = inclusive_invalidations = 0
-        decode_episodes = decode_insts = decode_uops_n = decode_cycles = 0
-        insertion_attempts = insertions = bypasses = 0
-        evictions = evicted_entries = 0
-        # Structure-object counters (flushed to btb/icache at the end).
-        btb_obj_accesses = btb_obj_misses = 0
-        icache_obj_accesses = icache_obj_misses = 0
-
-        if cfg.perfect_uop_cache:
-            for now in range(begin, end):
-                lookup = lookups[now]
-                if pending and pending[0].due <= now:
-                    complete_due(now)
-                n_lookups += 1
-                uops = lookup.uops
-                uops_total += uops
-                instructions += lookup.insts
-                if lookup.terminated_by_branch:
-                    branches += 1
-                    btb_accesses += 1
-                    if not perfect_btb and not btb_access(
-                        lookup.start + lookup.bytes_len - 1
-                    ):
-                        btb_misses += 1
-                    if lookup.mispredicted and not perfect_bp:
-                        mispredictions += 1
-                pw_hits += 1
-                uops_hit += uops
-                uop_cache_reads += entry_sizes[now]
-                if not on_uop_path:
-                    path_switches += 1
-                    on_uop_path = True
-        else:
-            # Event-driven completion: ``next_due`` caches the head of
-            # the (monotonically ordered) pending queue so the common
-            # nothing-due case is a single integer comparison.
-            next_due = pending[0].due if pending else _NEVER
-            for now in range(begin, end):
-                lookup = lookups[now]
-                if now >= next_due:
-                    # Inlined _complete_due_insertions with local counters.
-                    while pending and pending[0].due <= now:
-                        queued = pending.popleft()
-                        queued_start = queued.lookup.start
-                        request = in_flight.get(queued_start)
-                        if request is None:
-                            continue  # superseded and already completed
-                        del in_flight[queued_start]
-                        insertion_attempts += 1
-                        result = try_insert(
-                            now, request.lookup, request.weight,
-                            request.set_index,
-                        )
-                        if result[0]:
-                            insertions += 1
-                            uop_cache_writes += -(
-                                -request.lookup.uops // uops_per_entry
-                            )
-                        else:
-                            bypasses += 1
-                        evictions += result[1]
-                        evicted_entries += result[2]
-                    next_due = pending[0].due if pending else _NEVER
-                n_lookups += 1
-                uops = lookup.uops
-                uops_total += uops
-                instructions += lookup.insts
-                start = lookup.start
-                bytes_len = lookup.bytes_len
-                if lookup.terminated_by_branch:
-                    branches += 1
-                    btb_accesses += 1
-                    if not perfect_btb:
-                        # Inlined BranchTargetBuffer.access.
-                        branch_pc = start + bytes_len - 1
-                        bset = btb_sets[(branch_pc >> 2) % btb_n_sets]
-                        btb_obj_accesses += 1
-                        if branch_pc in bset:
-                            bset.move_to_end(branch_pc)
-                        else:
-                            btb_obj_misses += 1
-                            btb_misses += 1
-                            if len(bset) >= btb_ways:
-                                bset.popitem(last=False)
-                            bset[branch_pc] = None
-                    if lookup.mispredicted and not perfect_bp:
-                        mispredictions += 1
-
-                set_index = set_indices[now]
-                if on_lookup is not None:
-                    on_lookup(now, set_index, lookup)
-                stored = pws_by_set[set_index].get(start)
-
-                if stored is not None and stored.uops >= uops:
-                    # Full hit (possibly via an intermediate exit point).
-                    pw_hits += 1
-                    uops_hit += uops
-                    uop_cache_reads += entry_sizes[now]
-                    if pw_hit_stats is not None:
-                        entry = pw_hit_stats.setdefault(start, [0, 0])
-                        entry[0] += uops
-                        entry[1] += uops
-                    on_hit(now, set_index, stored, lookup)
-                    if not on_uop_path:
-                        path_switches += 1
-                        on_uop_path = True
-                else:
-                    if stored is not None:
-                        # Partial hit: stored prefix served from the cache,
-                        # the rest decodes; a merged larger window is
-                        # accumulated (II-D).
-                        served = stored.uops
-                        missed = uops - served
-                        pw_partial_hits += 1
-                        uops_hit += served
-                        uops_missed += missed
-                        if classifier is not None:
-                            stats.miss_breakdown.add(
-                                classifier.classify(lookup), missed
-                            )
-                        uop_cache_reads += stored.size
-                        if pw_hit_stats is not None:
-                            entry = pw_hit_stats.setdefault(start, [0, 0])
-                            entry[0] += served
-                            entry[1] += uops
-                        missed_insts = max(1, round(lookup.insts * missed / uops))
-                        decoder_uops += missed
-                        decode_episodes += 1
-                        decode_insts += missed_insts
-                        decode_uops_n += missed
-                        cycles = -(-missed_insts // decode_width)
-                        decode_cycles += cycles if cycles > 1 else 1
-                        on_partial_hit(now, set_index, stored, lookup)
-                        # Prefix streamed from the uop cache, then back to
-                        # the legacy pipe.
-                        path_switches += 1 if on_uop_path else 2
-                        on_uop_path = False
-                        fetch_start = stored.start + stored.bytes_len
-                        fetch_end = start + bytes_len
-                        n_lines = (
-                            (fetch_end - 1) // line_bytes
-                            - fetch_start // line_bytes + 1
-                            if fetch_end > fetch_start
-                            else 1
-                        )
-                    else:
-                        pw_misses += 1
-                        uops_missed += uops
-                        if classifier is not None:
-                            stats.miss_breakdown.add(
-                                classifier.classify(lookup), uops
-                            )
-                        if pw_hit_stats is not None:
-                            entry = pw_hit_stats.setdefault(start, [0, 0])
-                            entry[1] += uops
-                        decoder_uops += uops
-                        decode_episodes += 1
-                        decode_insts += lookup.insts
-                        decode_uops_n += uops
-                        cycles = -(-lookup.insts // decode_width)
-                        decode_cycles += cycles if cycles > 1 else 1
-                        if on_miss is not None:
-                            on_miss(now, set_index, lookup)
-                        if on_uop_path:
-                            path_switches += 1
-                            on_uop_path = False
-                        fetch_start = start
-                        fetch_end = start + bytes_len
-                        n_lines = line_counts[now]
-                    # Legacy fetch through the L1i (inlined _legacy_fetch).
-                    icache_accesses += n_lines
-                    if not perfect_icache:
-                        if n_lines == 1:
-                            # Single-line fetch: inlined access_line body
-                            # (the overwhelmingly common case — most PWs
-                            # fit one icache line).
-                            iline = fetch_start // line_bytes
-                            icset = icache_sets[iline % icache_n_sets]
-                            icache_obj_accesses += 1
-                            if iline in icset:
-                                icset.move_to_end(iline)
-                            else:
-                                icache_obj_misses += 1
-                                if len(icset) >= icache_ways:
-                                    victim_line, _ = icset.popitem(last=False)
-                                    if inclusive:
-                                        inclusive_invalidations += (
-                                            invalidate_line(
-                                                now, victim_line * line_bytes
-                                            )
-                                        )
-                                icset[iline] = None
-                        else:
-                            evicted = icache_access_range(
-                                fetch_start,
-                                fetch_end if fetch_end > fetch_start
-                                else fetch_start + 1,
-                            )
-                            if inclusive and evicted:
-                                for line_addr in evicted:
-                                    inclusive_invalidations += invalidate_line(
-                                        now, line_addr
-                                    )
-                    # Schedule the insertion (inlined _schedule_insertion
-                    # + Accumulator.accumulate).
-                    in_flight_req = in_flight.get(start)
-                    if in_flight_req is None:
-                        accumulator.accumulated += 1
-                        request = InsertionRequest(
-                            lookup=lookup,
-                            weight=hints_get(start)
-                            if lookup.contains_branch else None,
-                            due=now + insertion_delay,
-                            set_index=set_index,
-                        )
-                        in_flight[start] = request
-                        pending.append(request)
-                        if len(pending) == 1:
-                            next_due = request.due
-                    elif uops > in_flight_req.lookup.uops:
-                        # A longer same-start window supersedes the
-                        # pending one.
-                        accumulator.accumulated += 1
-                        in_flight[start] = InsertionRequest(
-                            lookup=lookup,
-                            weight=hints_get(start)
-                            if lookup.contains_branch else None,
-                            due=in_flight_req.due,
-                            set_index=set_index,
-                        )
-
-                if classifier is not None:
-                    classifier.touch(lookup)
-
-        self._on_uop_path = on_uop_path
-        btb.accesses += btb_obj_accesses
-        btb.misses += btb_obj_misses
-        icache.accesses += icache_obj_accesses
-        icache.misses += icache_obj_misses
-        stats.lookups += n_lookups
-        stats.uops_total += uops_total
-        stats.instructions += instructions
-        stats.branches += branches
-        stats.btb_accesses += btb_accesses
-        stats.btb_misses += btb_misses
-        stats.mispredictions += mispredictions
-        stats.pw_hits += pw_hits
-        stats.pw_partial_hits += pw_partial_hits
-        stats.pw_misses += pw_misses
-        stats.uops_hit += uops_hit
-        stats.uops_missed += uops_missed
-        stats.uop_cache_reads += uop_cache_reads
-        stats.uop_cache_writes += uop_cache_writes
-        stats.insertion_attempts += insertion_attempts
-        stats.insertions += insertions
-        stats.bypasses += bypasses
-        stats.evictions += evictions
-        stats.evicted_entries += evicted_entries
-        stats.decoder_uops += decoder_uops
-        stats.path_switches += path_switches
-        stats.icache_accesses += icache_accesses
-        stats.inclusive_invalidations += inclusive_invalidations
-        decoder.episodes += decode_episodes
-        decoder.insts_decoded += decode_insts
-        decoder.uops_decoded += decode_uops_n
-        decoder.active_cycles += decode_cycles
+            resilience.note_fallback(
+                f"sim_fallback:{self.policy.name}:{reason}")
+            return self.run_reference(trace, warmup)

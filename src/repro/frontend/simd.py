@@ -1,7 +1,7 @@
 """Vectorized frontend simulation kernel over packed trace columns.
 
-The reference simulation (:meth:`FrontendPipeline.step` and the inlined
-:meth:`FrontendPipeline._run_segment` loop) walks one ``PWLookup``
+The reference simulation (:meth:`FrontendPipeline.step`, looped by
+:meth:`FrontendPipeline.run_reference`) walks one ``PWLookup``
 object at a time through virtual policy hooks, the ``UopCache`` storage
 layer and the icache/BTB models.  For the stateless-scoreable online
 policies (LRU, SRRIP, random, GHRP) all of that dispatch is avoidable:
@@ -45,24 +45,19 @@ and swaps the policy-state handling.  Both are driven by
 :func:`repro.frontend.simd_fused.run_group`; :func:`run_kernel` is its
 one-arm call.
 
-``REPRO_SIM_FASTPATH=0`` disables both kernels (the prepared-trace
-loop in :meth:`FrontendPipeline._run_segment` then runs, exactly as
-before the kernels existed); unsupported configurations (policies
-without a specialization, miss classification, perfect uop cache)
-fall back automatically, counted per (policy, reason) by the
-``sim_fallback:*`` resilience counters — see :func:`fallback_reason`.
+Unsupported configurations (policies without a specialization, miss
+classification, perfect uop cache) run
+:meth:`FrontendPipeline.run_reference` instead, counted per (policy,
+reason) by the ``sim_fallback:*`` resilience counters — see
+:func:`fallback_reason`.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import TYPE_CHECKING
 
-try:  # numpy is a project dependency, but minimal CI envs may omit it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback path
-    _np = None
+import numpy as _np
 
 from ._specialize import compile_flagged
 from ..core.pw import StoredPW
@@ -143,17 +138,6 @@ _G_I0, _G_I1, _G_I2, _G_REUSED, _G_SIG = 9, 10, 11, 12, 13
 _REPLACEMENT, _INCLUSIVE, _UPGRADE = range(3)
 
 
-def sim_fastpath_enabled() -> bool:
-    """Whether the vectorized simulation kernel may run (default: yes).
-
-    ``REPRO_SIM_FASTPATH=0`` restores the prepared-trace reference loop
-    end-to-end (same knob pattern as ``REPRO_TRACE_FASTPATH`` /
-    ``REPRO_POLICY_FASTPATH``).  The kernel also requires numpy; when
-    it is absent the reference loop runs unconditionally.
-    """
-    return _np is not None and os.environ.get("REPRO_SIM_FASTPATH", "1") != "0"
-
-
 def kernel_kind(policy: object) -> str | None:
     """The kernel specialization for ``policy``, or None if unsupported.
 
@@ -177,19 +161,15 @@ def offline_kernel_kind(policy: object) -> str | None:
 
     Exact-type checks, like :func:`kernel_kind` (FOO/FLACK only
     override ``__init__`` of :class:`OfflineReplayPolicy`, so they
-    share its specializations).  Imports are lazy and guarded: the
-    offline modules require numpy at import time, and this predicate
-    must stay callable — answering None — without it.
+    share its specializations).
     """
-    try:
-        from ..offline.base import OfflineReplayPolicy
-        from ..offline.belady import BeladyPolicy
-        from ..offline.flack import FLACKPolicy
-        from ..offline.foo import FOOPolicy
-        from ..policies.furbys import FurbysPolicy
-        from ..policies.thermometer import ThermometerPolicy
-    except ImportError:  # pragma: no cover - numpy-less environments
-        return None
+    from ..offline.base import OfflineReplayPolicy
+    from ..offline.belady import BeladyPolicy
+    from ..offline.flack import FLACKPolicy
+    from ..offline.foo import FOOPolicy
+    from ..policies.furbys import FurbysPolicy
+    from ..policies.thermometer import ThermometerPolicy
+
     tp = type(policy)
     if tp is BeladyPolicy:
         return "belady"
@@ -232,28 +212,15 @@ def fallback_reason(pipeline: "FrontendPipeline") -> str | None:
     if (type(pipeline.policy) is GHRPPolicy
             and pipeline.policy._history != 0):
         return "ghrp_history_nonzero"
-    if offline_kind in ("belady", "plan", "greedy"):
-        # The future-knowledge kinds read the columnar CSR layout; with
-        # REPRO_POLICY_FASTPATH=0 the policy holds the reference
-        # dict-of-lists index instead.
-        from ..offline.base import ColumnarFutureIndex
-
-        if not isinstance(pipeline.policy.future, ColumnarFutureIndex):
-            return "reference_future_index"
     return None
-
-
-def supports(pipeline: "FrontendPipeline") -> bool:
-    """Whether this pipeline instance can run through a kernel."""
-    return fallback_reason(pipeline) is None
 
 
 def run_kernel(pipeline: "FrontendPipeline", trace: "Trace",
                warmup: int) -> SimulationStats:
     """Simulate ``trace`` on ``pipeline``: a one-arm kernel group.
 
-    The caller (``FrontendPipeline.run``) is responsible for checking
-    :func:`sim_fastpath_enabled` and :func:`supports` first.
+    The caller (``FrontendPipeline.run``) checks
+    :func:`fallback_reason` first.
     """
     from .simd_fused import run_group
 
@@ -1625,7 +1592,7 @@ def _compile_segment(flags: dict) -> object:
 
     Delegates the source transformation and the marshal disk cache to
     :mod:`repro.frontend._specialize`; any failure falls back to the
-    generic loop (``REPRO_SIM_SPECIALIZE=0`` forces that fallback).
+    generic loop.
     """
     return compile_flagged(
         _Kernel._segment, _SPEC_NAMES, flags, new_name="_segment_spec",

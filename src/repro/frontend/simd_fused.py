@@ -41,7 +41,7 @@ from .. import stagetimer
 from ..core.stats import SimulationStats
 from ..core.trace import callable_token
 from ._specialize import gc_paused as _gc_paused
-from .simd import _Kernel, _build_columns, kernel_kind, sim_fastpath_enabled
+from .simd import _Kernel, _build_columns, kernel_kind
 from .simd_offline import _OfflineKernel
 
 #: Lookups per column window.  A trace of at most this many lookups
@@ -62,15 +62,14 @@ class FusedUnsupported(Exception):
 
 def fuse_enabled() -> bool:
     """Whether the multi-arm batch prepass may be used at all."""
-    return (os.environ.get("REPRO_SIM_FUSE", "1") != "0"
-            and sim_fastpath_enabled())
+    return os.environ.get("REPRO_SIM_FUSE", "1") != "0"
 
 
 def _window_columns(pipeline, trace, lo: int, hi: int) -> dict:
     """Derived columns for lookups ``[lo, hi)`` under this geometry.
 
-    The window that covers the whole trace is memoized on it (the key
-    follows the :meth:`Trace.prepared` convention, and
+    The window that covers the whole trace is memoized on it (keyed by
+    geometry and :func:`~repro.core.trace.callable_token`, and
     :func:`repro.core.trace.drop_simd_memos` evicts it by its ``"simd"``
     prefix); any shorter window is built fresh and owned by the caller.
     """
@@ -129,14 +128,11 @@ def run_group(pipelines, trace, warmup: int) -> list[SimulationStats]:
 
         columns = _window_columns(pipelines[0], trace, 0, min(n, window))
         kernels = [_make_kernel(p, columns, n) for p in pipelines]
-        specialize = os.environ.get("REPRO_SIM_SPECIALIZE", "1") != "0"
         segments = []
         for k in kernels:
-            spec = None
-            if specialize:
-                if isinstance(k, _OfflineKernel):
-                    k._bind_specialized()
-                spec = k._specialized()
+            if isinstance(k, _OfflineKernel):
+                k._bind_specialized()
+            spec = k._specialized()
             segments.append(spec.__get__(k) if spec is not None
                             else k._segment)
 

@@ -34,10 +34,9 @@ offsets to batch), so mirroring costs what the records would and keeps
 ``_rebuild_policy_dicts`` a no-op; key insertion order then matches the
 reference hook order by construction.
 
-Bit-identity discipline is inherited wholesale: ``REPRO_SIM_FASTPATH=0``
-restores the reference loop, unsupported shapes (reference future
-index, miss classification, mid-stream pipelines) fall back with a
-``sim_fallback:*`` counter, and ``tests/test_offline_kernel.py`` sweeps
+Bit-identity discipline is inherited wholesale: unsupported shapes
+(miss classification, mid-stream pipelines) run the reference loop
+with a ``sim_fallback:*`` counter, and ``tests/test_offline_kernel.py`` sweeps
 geometries x policies x trace lengths against ``run_reference``.
 """
 
@@ -142,8 +141,8 @@ class _OfflineKernel(_Kernel):
 
         The generic segment, the specialized segment and ``_drain`` all
         call through ``self._attempt``, so the instance binding covers
-        every path; without it (``REPRO_SIM_SPECIALIZE=0``) the generic
-        method branches on its flag locals per attempt instead.
+        every path; if compilation fails, the generic method branches
+        on its flag locals per attempt instead.
         """
         spec = _off_specialized_attempt({
             "is_belady": self.kind == "belady",

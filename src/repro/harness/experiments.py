@@ -24,7 +24,7 @@ from ..profiling import profile_application
 from ..profiling.hints import build_hints
 from ..timing.model import TimingModel
 from ..workloads.apps import app_names
-from ..workloads.registry import DEFAULT_TRACE_LEN, get_trace
+from ..workloads.registry import default_trace_len, get_trace
 from .parallel import run_many
 from .reporting import mean, percent
 from .runner import RunRequest, run
@@ -954,7 +954,7 @@ def abl_online_scale(trace_len: int = 1_000_000) -> dict:
     smoke-sized.
     """
     if os.environ.get("REPRO_TRACE_LEN"):
-        trace_len = DEFAULT_TRACE_LEN
+        trace_len = default_trace_len()
     result = _miss_reduction_matrix(
         ("srrip", "random", "ghrp"), trace_len=trace_len
     )
@@ -979,7 +979,7 @@ def abl_offline_scale(trace_len: int = 1_000_000) -> dict:
     smoke-sized.
     """
     if os.environ.get("REPRO_TRACE_LEN"):
-        trace_len = DEFAULT_TRACE_LEN
+        trace_len = default_trace_len()
     result = _miss_reduction_matrix(
         ("belady", "flack", "furbys", "thermometer"), trace_len=trace_len
     )

@@ -8,11 +8,10 @@ timing each stage of :func:`~repro.harness.runner.execute` separately:
 * **policy construction** (for offline policies this is the future
   index plus the FOO/FLACK flow-solver pass; for FURBYS the profiling
   simulation including Jenks classification),
-* **trace preparation** (:meth:`~repro.core.trace.Trace.prepared`,
-  the per-unique-PW derivation the fast loop runs on),
-* the **fast pipeline loop** (:meth:`FrontendPipeline.run`),
+* the **pipeline run** (:meth:`FrontendPipeline.run`: a vectorized
+  kernel, or the reference loop for shapes no kernel serves),
 * the **reference loop** (:meth:`FrontendPipeline.run_reference`,
-  the unoptimized per-``step()`` baseline), and
+  the per-``step()`` baseline), and
 * **policy callbacks** (time inside the policy's observation and
   decision hooks, measured with a delegating proxy in a separate
   instrumented run so the clean timings are undisturbed).
@@ -55,10 +54,9 @@ class _TimedPolicy(ReplacementPolicy):
 
     Every hook forwards to the wrapped policy, so decisions (and hence
     simulation results) are unchanged; only the time spent inside the
-    hooks is accumulated.  Because the proxy overrides all hooks, the
-    pipeline's skip-unobserved-hooks fast path is disabled for the
-    instrumented run — which is exactly what we want: the no-op calls
-    it would have skipped cost (and therefore time) nothing real.
+    hooks is accumulated.  The proxy is not a kernel policy type, so
+    the instrumented run takes the reference loop, which calls every
+    hook.
     """
 
     def __init__(self, inner: ReplacementPolicy) -> None:
@@ -110,9 +108,8 @@ class MicrobenchResult:
     #: construction, from :mod:`repro.stagetimer`; empty for online
     #: policies, which build in constant time.
     policy_build_stages: dict
-    prepare_s: float
     pipeline_s: float
-    #: stage -> seconds inside the fast pipeline run (``frontend_sim``
+    #: stage -> seconds inside the pipeline run (``frontend_sim``
     #: dispatch; ``sim_kernel`` when the vectorized kernel ran), from
     #: :mod:`repro.stagetimer` — the kernel vs. reference attribution.
     sim_stages: dict
@@ -158,21 +155,7 @@ def microbench_run(
         built_policy, hints = _build_policy_and_hints(request, sim_config, trace)
         policy_build_s = perf_counter() - started
 
-    # Stage: prepared-trace derivation.  The freshly built trace has an
-    # empty memo, so this times the real per-unique-PW pass; later
-    # pipeline arms then share the memoized result, exactly as repeated
-    # policy runs on one trace do in the experiment harness.
-    probe = FrontendPipeline(sim_config, built_policy, hints=hints)
-    started = perf_counter()
-    trace.prepared(
-        n_sets=probe.uop_cache.n_sets,
-        uops_per_entry=sim_config.uop_cache.uops_per_entry,
-        line_bytes=sim_config.icache.line_bytes,
-        set_index_fn=probe.uop_cache._set_index,
-    )
-    prepare_s = perf_counter() - started
-
-    # Stage: fast pipeline loop (best of ``repeats``).  Rebuilding the
+    # Stage: pipeline run (best of ``repeats``).  Rebuilding the
     # pipeline re-attaches the policy, which resets its per-run state.
     stats = None
     pipeline_s = float("inf")
@@ -187,8 +170,8 @@ def microbench_run(
             pipeline_s = elapsed
             sim_stages = dict(run_stages)
 
-    # Stage: reference loop (the per-step() baseline the fast loop must
-    # stay bit-identical to).
+    # Stage: reference loop (the per-step() baseline the pipeline run
+    # must stay bit-identical to).
     reference_stats = None
     reference_s = float("inf")
     for _ in range(max(1, repeats)):
@@ -218,7 +201,6 @@ def microbench_run(
             stage: (round(v, 6) if isinstance(v, float) else v)
             for stage, v in build_stages.items()
         },
-        prepare_s=prepare_s,
         pipeline_s=pipeline_s,
         sim_stages={
             stage: (round(v, 6) if isinstance(v, float) else v)
@@ -245,8 +227,8 @@ def microbench_batch(
 ) -> dict:
     """Microbench every (app, policy) pair; returns a JSON-able report.
 
-    The aggregate ``lookups_per_s`` (total lookups over total fast-loop
-    time) is the number the CI smoke step guards with
+    The aggregate ``lookups_per_s`` (total lookups over total pipeline
+    run time) is the number the CI smoke step guards with
     :func:`check_baseline`.  ``degraded_fallbacks`` snapshots the
     resilience fallback counters accumulated during the bench (shm /
     disk-write / quarantine events), so a bench that silently degraded
@@ -286,7 +268,6 @@ def microbench_batch(
         "total_reference_s": round(total_reference_s, 4),
         "trace_gen_s": round(total_trace_s, 4),
         "policy_build_s": round(total_build_s, 4),
-        "prepare_s": round(sum(r.prepare_s for r in results), 4),
         "policy_hooks_s": round(sum(r.policy_hooks_s for r in results), 4),
         "lookups_per_s": round(total_lookups / total_pipeline_s, 1),
         # Policy-construction throughput, the same normalization as
@@ -299,7 +280,7 @@ def microbench_batch(
         "trace_build_lookups_per_s": (
             round(total_lookups / total_trace_s, 1) if total_trace_s else None
         ),
-        # Fast-loop throughput over the offline + profile-guided arms
+        # Pipeline-run throughput over the offline + profile-guided arms
         # only (None when the batch has no such arm).
         "offline_sim_lookups_per_s": (
             round(trace_len * len(offline_runs) / offline_pipeline_s, 1)
@@ -482,32 +463,20 @@ def frontend_sim_run(
 ) -> dict:
     """Time the simulation loops alone, with the stage breakdown.
 
-    Pulls the trace from the shared registry cache and pre-derives the
-    prepared columns, so the three arms measure pure simulation:
+    Pulls the trace from the shared registry cache and builds the
+    policy up front, so the two arms measure pure simulation:
 
-    * ``kernel_s``    — :meth:`FrontendPipeline.run` with the
-      :mod:`repro.frontend.simd` kernel enabled (the default path);
-      ``stages`` carries the ``frontend_sim`` / ``sim_kernel`` split
-      from the best repeat.
-    * ``fastloop_s``  — the same entry point under
-      ``REPRO_SIM_FASTPATH=0`` (the prepared-trace loop).
+    * ``kernel_s``    — :meth:`FrontendPipeline.run` (the vectorized
+      kernel for supported shapes); ``stages`` carries the
+      ``frontend_sim`` / ``sim_kernel`` split from the best repeat.
     * ``reference_s`` — :meth:`FrontendPipeline.run_reference`.
     """
-    import os
-
     request = RunRequest(
         app=app, policy=policy, trace_len=trace_len, config=config
     )
     sim_config = request.build_config()
     trace = get_trace(app, request.input_name, trace_len)
     built_policy, hints = _build_policy_and_hints(request, sim_config, trace)
-    probe = FrontendPipeline(sim_config, built_policy, hints=hints)
-    trace.prepared(
-        n_sets=probe.uop_cache.n_sets,
-        uops_per_entry=sim_config.uop_cache.uops_per_entry,
-        line_bytes=sim_config.icache.line_bytes,
-        set_index_fn=probe.uop_cache._set_index,
-    )
 
     kernel_stats = None
     kernel_s = float("inf")
@@ -522,22 +491,6 @@ def frontend_sim_run(
             kernel_s = elapsed
             kernel_stages = dict(run_stages)
 
-    saved = os.environ.get("REPRO_SIM_FASTPATH")
-    os.environ["REPRO_SIM_FASTPATH"] = "0"
-    try:
-        fastloop_stats = None
-        fastloop_s = float("inf")
-        for _ in range(max(1, repeats)):
-            pipeline = FrontendPipeline(sim_config, built_policy, hints=hints)
-            started = perf_counter()
-            fastloop_stats = pipeline.run(trace)
-            fastloop_s = min(fastloop_s, perf_counter() - started)
-    finally:
-        if saved is None:
-            del os.environ["REPRO_SIM_FASTPATH"]
-        else:
-            os.environ["REPRO_SIM_FASTPATH"] = saved
-
     reference_stats = None
     reference_s = float("inf")
     for _ in range(max(1, repeats)):
@@ -548,7 +501,6 @@ def frontend_sim_run(
 
     identical = (
         dataclasses.asdict(kernel_stats)
-        == dataclasses.asdict(fastloop_stats)
         == dataclasses.asdict(reference_stats)
     )
     return {
@@ -556,10 +508,8 @@ def frontend_sim_run(
         "policy": policy,
         "trace_len": trace_len,
         "kernel_s": round(kernel_s, 4),
-        "fastloop_s": round(fastloop_s, 4),
         "reference_s": round(reference_s, 4),
         "kernel_lookups_per_s": round(trace_len / kernel_s, 1),
-        "speedup_vs_fastloop": round(fastloop_s / kernel_s, 3),
         "speedup_vs_reference": round(reference_s / kernel_s, 3),
         "identical_results": identical,
         "stages": {
@@ -579,7 +529,7 @@ def frontend_sim_batch(
 ) -> dict:
     """Simulation-only bench (``repro bench --stage frontend_sim``).
 
-    Per-(app, policy) kernel vs. fastloop vs. reference timings plus an
+    Per-(app, policy) kernel vs. reference timings plus an
     aggregate in the same shape :func:`check_baseline` reads.
     """
     results = [
@@ -590,7 +540,6 @@ def frontend_sim_batch(
         for policy in policies
     ]
     total_kernel_s = sum(r["kernel_s"] for r in results)
-    total_fastloop_s = sum(r["fastloop_s"] for r in results)
     total_reference_s = sum(r["reference_s"] for r in results)
     total_lookups = trace_len * len(results)
     stage_totals: dict[str, float | int] = {}
@@ -602,10 +551,8 @@ def frontend_sim_batch(
         "trace_len": trace_len,
         "total_lookups": total_lookups,
         "kernel_s": round(total_kernel_s, 4),
-        "fastloop_s": round(total_fastloop_s, 4),
         "reference_s": round(total_reference_s, 4),
         "kernel_lookups_per_s": round(total_lookups / total_kernel_s, 1),
-        "speedup_vs_fastloop": round(total_fastloop_s / total_kernel_s, 3),
         "speedup_vs_reference": round(total_reference_s / total_kernel_s, 3),
         "identical_results": all(r["identical_results"] for r in results),
         "stages": {
@@ -633,9 +580,9 @@ def offline_sim_run(
 ) -> dict:
     """:func:`frontend_sim_run` for one offline / profile-guided arm.
 
-    Same three arms (kernel / fastloop / reference); policy
-    construction — the future index, flow solver or profiling replay —
-    happens once up front and is excluded from all three timings.
+    Same two arms (kernel / reference); policy construction — the
+    future index, flow solver or profiling replay — happens once up
+    front and is excluded from both timings.
     """
     return frontend_sim_run(
         app, policy, trace_len=trace_len, config=config, repeats=repeats
@@ -824,8 +771,8 @@ def profile_run(
 ) -> str:
     """cProfile one cold run end-to-end; returns the cumulative report.
 
-    Profiles trace generation, policy construction and the fast
-    pipeline loop together — the same work a cold
+    Profiles trace generation, policy construction and the pipeline
+    run together — the same work a cold
     :func:`~repro.harness.runner.execute` does — so hot-path
     regressions show up with their callers attached.
     """
@@ -857,7 +804,7 @@ def check_baseline(
     shared-runner noise while still catching a real hot-path
     regression (the optimizations this guards are each >30%).
 
-    The gated throughputs are ``lookups_per_s`` (fast pipeline loop),
+    The gated throughputs are ``lookups_per_s`` (pipeline run),
     ``policy_build_lookups_per_s``, ``trace_build_lookups_per_s``,
     ``offline_sim_lookups_per_s`` and ``fused_sim_lookups_per_s`` —
     keys absent from either side are skipped, so one committed
@@ -866,7 +813,7 @@ def check_baseline(
     each of which carries its own subset.
     """
     if not aggregate.get("identical_results", True):
-        return False, "microbench: fast loop diverged from the reference loop"
+        return False, "microbench: run diverged from the reference loop"
     parts = []
     for key, label in (
         ("lookups_per_s", ""),

@@ -24,13 +24,12 @@ from ..frontend.pipeline import FrontendPipeline
 from ..offline.belady import BeladyPolicy
 from ..offline.flack import FLACKPolicy
 from ..offline.foo import FOOPolicy
-from ..offline.future import fast_path_enabled
 from ..policies import make_policy, online_policy_names
 from ..policies.furbys import FurbysPolicy
 from ..policies.thermometer import ThermometerPolicy
-from ..profiling import FurbysProfile, profile_application
+from ..profiling import FurbysProfile
 from ..profiling.hitrate import three_class_profile
-from ..workloads.registry import DEFAULT_TRACE_LEN, clear_trace_cache, get_trace
+from ..workloads.registry import clear_trace_cache, default_trace_len, get_trace
 from .artifacts import (
     _disk_cache_dir,
     _store_json,
@@ -81,7 +80,9 @@ class RunRequest:
     furbys_pitfall_depth: int = 2
 
     def resolved_trace_len(self) -> int:
-        return self.trace_len if self.trace_len is not None else DEFAULT_TRACE_LEN
+        if self.trace_len is not None:
+            return self.trace_len
+        return default_trace_len()
 
     def resolved_warmup(self) -> int:
         if self.warmup is not None:
@@ -214,31 +215,19 @@ def _profile_for(request: RunRequest, config: SimulationConfig) -> FurbysProfile
     cached = _profile_cache.get(key)
     if cached is not None:
         return cached
-    if fast_path_enabled():
-        # Per-input profiles come from the shared artifact store (one
-        # profiling replay per training trace, reused by Thermometer
-        # and across hint parameters); merges stay in memory.
-        profiles = [
-            shared_profile(
-                request.app, name, request.resolved_trace_len(), config,
-                source=request.profile_source,
-                n_bits=request.hint_bits,
-                scope=request.weight_scope,
-                geometry=_request_geometry(request),
-            )
-            for name in inputs
-        ]
-    else:
-        profiles = [
-            profile_application(
-                get_trace(request.app, name, request.resolved_trace_len()),
-                config,
-                source=request.profile_source,
-                n_bits=request.hint_bits,
-                scope=request.weight_scope,
-            )
-            for name in inputs
-        ]
+    # Per-input profiles come from the shared artifact store (one
+    # profiling replay per training trace, reused by Thermometer and
+    # across hint parameters); merges stay in memory.
+    profiles = [
+        shared_profile(
+            request.app, name, request.resolved_trace_len(), config,
+            source=request.profile_source,
+            n_bits=request.hint_bits,
+            scope=request.weight_scope,
+            geometry=_request_geometry(request),
+        )
+        for name in inputs
+    ]
     profile = profiles[0] if len(profiles) == 1 else profiles[0].merged_with(
         *profiles[1:]
     )
@@ -287,20 +276,18 @@ def _build_policy_and_hints(
             profile_trace = get_trace(
                 request.app, inputs[0], request.resolved_trace_len()
             )
-            rates = None
-            if fast_path_enabled():
-                # Reuse FURBYS's profiling replay: same trace, source
-                # and geometry -> same hit stats, different clustering.
-                stats = shared_hit_stats(
-                    request.app, inputs[0], request.resolved_trace_len(),
-                    config,
-                    source=request.profile_source,
-                    geometry=_request_geometry(request),
-                )
-                rates = {
-                    start: (hit / total if total else 0.0)
-                    for start, (hit, total) in stats.items()
-                }
+            # Reuse FURBYS's profiling replay: same trace, source and
+            # geometry -> same hit stats, different clustering.
+            stats = shared_hit_stats(
+                request.app, inputs[0], request.resolved_trace_len(),
+                config,
+                source=request.profile_source,
+                geometry=_request_geometry(request),
+            )
+            rates = {
+                start: (hit / total if total else 0.0)
+                for start, (hit, total) in stats.items()
+            }
             classes = three_class_profile(
                 profile_trace, config,
                 source=request.profile_source, hit_rates=rates,

@@ -36,7 +36,6 @@ from .future import (  # re-exported: historic home of these names
     NEVER,
     ColumnarFutureIndex,
     FutureIndex,
-    fast_path_enabled,
     shared_future_index,
 )
 from .intervals import IdentityMode, ValueMetric, shared_intervals
@@ -87,17 +86,10 @@ class OfflineReplayPolicy(ReplacementPolicy):
         self.future = shared_future_index(trace, self._identity)
         # Hot-path aliases: _score runs per resident per insertion
         # attempt, so the future-index internals and the metric dispatch
-        # are bound once here instead of per call.  The two index
-        # layouts (reference dict-of-lists, shared columnar CSR) get a
-        # matching _score implementation each.
+        # are bound once here instead of per call.
         self._key_fn = self.future._key_fn
-        if isinstance(self.future, ColumnarFutureIndex):
-            self._occ = self.future.occ_list
-            self._span = self.future.span
-            self._score = self._score_columnar
-        else:
-            self._times = self.future._times
-            self._score = self._score_reference
+        self._occ = self.future.occ_list
+        self._span = self.future.span
         self._metric_mode = (
             0 if metric is ValueMetric.OHR
             else 1 if metric is ValueMetric.ENTRIES
@@ -119,17 +111,14 @@ class OfflineReplayPolicy(ReplacementPolicy):
                 )
                 return greedy_admission(per_set, slots, config.ways, len(trace))
 
-            if fast_path_enabled():
-                # The plan is a pure function of the decomposition, so
-                # plan-mode policies with identical parameters (e.g.
-                # foo-ohr and flack[foo]) share one admission pass.
-                self.plan = trace.memo(
-                    ("greedy_plan", self._identity, metric, set_fn, min_gap,
-                     config.sets, config.ways, config.uops_per_entry),
-                    build_plan,
-                )
-            else:
-                self.plan = build_plan()
+            # The plan is a pure function of the decomposition, so
+            # plan-mode policies with identical parameters (e.g. foo-ohr
+            # and flack[foo]) share one admission pass.
+            self.plan = trace.memo(
+                ("greedy_plan", self._identity, metric, set_fn, min_gap,
+                 config.sets, config.ways, config.uops_per_entry),
+                build_plan,
+            )
 
     def reset(self) -> None:
         #: start -> global lookup time that began the current residency
@@ -164,9 +153,8 @@ class OfflineReplayPolicy(ReplacementPolicy):
 
     # --- scoring ---------------------------------------------------------------
 
-    # ``self._score`` is bound in __init__ to the implementation
-    # matching the future-index layout.  Both compute the same number:
-    # ``(next_use - now) * size / value`` generalizes Belady's
+    # ``_score`` and its test oracle ``_score_reference`` compute the
+    # same number: ``(next_use - now) * size / value`` generalizes Belady's
     # furthest-next-use rule (the size = value case) to variable
     # disproportional costs — a far-future, many-entry, few-micro-op
     # window is the cheapest thing to sacrifice.  ``now`` is an
@@ -174,6 +162,8 @@ class OfflineReplayPolicy(ReplacementPolicy):
     # served yet, so a use *at* ``now`` counts (``now - 1`` below).
 
     def _score_reference(self, pw: StoredPW, now: int) -> float:
+        """:meth:`_score` over ``self._times``, the per-key lookup-time
+        lists of a reference :class:`FutureIndex` that tests attach."""
         times = self._times.get(self._key_fn(pw))
         if times:
             index = bisect_right(times, now - 1)
@@ -187,7 +177,7 @@ class OfflineReplayPolicy(ReplacementPolicy):
                 return distance * pw.size / max(1, pw.uops)
         return float("inf")
 
-    def _score_columnar(self, pw: StoredPW, now: int) -> float:
+    def _score(self, pw: StoredPW, now: int) -> float:
         span = self._span.get(self._key_fn(pw))
         if span is not None:
             lo, hi = span

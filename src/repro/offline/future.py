@@ -2,11 +2,9 @@
 
 Two implementations with one query interface:
 
-* :class:`FutureIndex` — the semantic reference: a dict of per-key
-  lookup-time lists, bisected per query.  Each policy used to build its
-  own copy, so a FLACK-ablation batch paid the O(n) construction once
-  per variant.
-* :class:`ColumnarFutureIndex` — the fast path: one pass over the trace
+* :class:`FutureIndex` — the semantic reference and test oracle: a
+  dict of per-key lookup-time lists, bisected per query.
+* :class:`ColumnarFutureIndex` — the production layout: one pass over the trace
   produces a columnar CSR layout (a flat occurrence array grouped by
   key plus per-key spans) and a numpy *successor array* ``succ`` where
   ``succ[t]`` is the next lookup time of the object observed at ``t``
@@ -17,15 +15,12 @@ Two implementations with one query interface:
   directly instead of re-deriving reuse chains.
 
 :func:`shared_future_index` memoizes the columnar index on the
-:class:`~repro.core.trace.Trace` (alongside ``prepared()``), so every
-policy replaying one trace under the same identity mode shares a single
-build.  ``REPRO_POLICY_FASTPATH=0`` restores the per-policy reference
-behaviour — the before-arm of ``scripts/bench_policy_build.py``.
+:class:`~repro.core.trace.Trace`, so every policy replaying one trace
+under the same identity mode shares a single build.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from bisect import bisect_right
 from typing import Hashable
@@ -39,17 +34,6 @@ from .intervals import IdentityMode
 
 #: Sentinel "never used again".
 NEVER = sys.maxsize
-
-
-def fast_path_enabled() -> bool:
-    """Whether shared columnar artifacts are in use (default: yes).
-
-    ``REPRO_POLICY_FASTPATH=0`` switches policy construction back to
-    the reference path: per-policy :class:`FutureIndex` builds, the
-    scan-based interval extraction and unshared profiling runs.  The
-    policy-build benchmark uses this to time its before arm.
-    """
-    return os.environ.get("REPRO_POLICY_FASTPATH", "1") != "0"
 
 
 class FutureIndex:
@@ -161,16 +145,12 @@ class ColumnarFutureIndex:
 
 def shared_future_index(
     trace: Trace, identity: IdentityMode
-) -> FutureIndex | ColumnarFutureIndex:
+) -> ColumnarFutureIndex:
     """The trace's memoized columnar index for one identity mode.
 
     All policies (and the interval extractor) replaying ``trace`` under
-    ``identity`` share one build.  With the fast path disabled this
-    degrades to a fresh per-call reference :class:`FutureIndex`.
+    ``identity`` share one build.
     """
-    if not fast_path_enabled():
-        with stagetimer.timed("future_index"):
-            return FutureIndex(trace, identity)
 
     def build() -> ColumnarFutureIndex:
         with stagetimer.timed("future_index"):

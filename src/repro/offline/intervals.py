@@ -207,13 +207,7 @@ def _extract_intervals_columnar(
     """
     from .future import NEVER, shared_future_index
 
-    index = shared_future_index(trace, identity)
-    succ = getattr(index, "succ", None)
-    if succ is None:  # fast path disabled: reference index has no array
-        return extract_intervals(
-            trace, config, identity=identity, metric=metric,
-            set_index_fn=set_index_fn, min_gap=min_gap,
-        )
+    succ = shared_future_index(trace, identity).succ
     set_ids, slot_of, slot_counts = _set_timeline(
         trace, config.sets, set_index_fn
     )
@@ -285,18 +279,12 @@ def shared_intervals(
     Keyed by everything that shapes the result (identity, metric, cache
     geometry, ``min_gap``); FOO and the FLACK plan-mode ablation step
     requesting the same decomposition of one trace pay for it once.
-    Callers must not mutate the returned structures.  With the fast
-    path disabled this falls through to a fresh reference extraction.
+    Callers must not mutate the returned structures.
     """
-    from .future import fast_path_enabled
-
     kwargs = dict(
         identity=identity, metric=metric, set_index_fn=set_index_fn,
         min_gap=min_gap,
     )
-    if not fast_path_enabled():
-        with stagetimer.timed("intervals"):
-            return extract_intervals(trace, config, **kwargs)
     key = (
         "intervals", identity, metric, callable_token(set_index_fn), min_gap,
         config.sets, config.ways, config.uops_per_entry,

@@ -3,7 +3,7 @@
 Trace generation is deterministic, so a process-wide cache keyed by
 ``(app, input, n_lookups)`` lets the many figure benches share workload
 construction.  ``REPRO_TRACE_LEN`` scales the default trace length for
-quick smoke runs.
+quick smoke runs; :func:`default_trace_len` reads it at call time.
 
 Two cache layers sit in front of generation:
 
@@ -27,9 +27,10 @@ from .apps import AppProfile, get_profile
 from .cfg import build_cfg
 from .generator import GENERATOR_VERSION, TraceGenerator
 
-#: Default dynamic trace length (PW lookups) used by the experiments.
-#: One third is treated as warmup by the harness.
-DEFAULT_TRACE_LEN = int(os.environ.get("REPRO_TRACE_LEN", "45000"))
+#: Default dynamic trace length (PW lookups) used by the experiments
+#: when ``REPRO_TRACE_LEN`` is unset.  One third is treated as warmup
+#: by the harness.
+DEFAULT_TRACE_LEN = 45000
 
 #: Max traces held in process memory (LRU eviction; ``<= 0`` = unbounded).
 TRACE_CACHE_CAP = int(os.environ.get("REPRO_TRACE_CACHE_CAP", "16"))
@@ -41,6 +42,15 @@ _trace_cache: OrderedDict[tuple[str, str, int], Trace] = OrderedDict()
 _cache_counters = {
     "memory_hits": 0, "disk_hits": 0, "generated": 0, "evictions": 0,
 }
+
+
+def default_trace_len() -> int:
+    """The experiments' trace length: ``REPRO_TRACE_LEN`` or the default.
+
+    Read on every call, so a value set after import (``repro
+    --trace-len``) still applies.
+    """
+    return int(os.environ.get("REPRO_TRACE_LEN", DEFAULT_TRACE_LEN))
 
 
 def available_inputs(app: str) -> tuple[str, ...]:
@@ -109,7 +119,7 @@ def get_trace(
     different inputs), while the dynamic walk differs — exactly the
     setting of the paper's cross-validation study.
     """
-    length = n_lookups if n_lookups is not None else DEFAULT_TRACE_LEN
+    length = n_lookups if n_lookups is not None else default_trace_len()
     key = (app, input_name, length)
     cached = _trace_cache.get(key)
     if cached is not None:

@@ -1,8 +1,8 @@
 """Columnar future index and shared offline artifacts vs. references.
 
-The policy-construction fast path (columnar successor arrays, shared
-interval decomposition, memoized admission plans) must be semantically
-invisible: every query and every derived artifact has to match the
+The production policy-construction layout (columnar successor arrays,
+shared interval decomposition, memoized admission plans) must be
+semantically invisible: every query and every derived artifact has to match the
 dict+bisect reference implementations exactly.  These tests drive both
 layers with randomized traces and arbitrary query points.
 """
@@ -16,7 +16,6 @@ import pytest
 
 from repro.config import UopCacheConfig
 from repro.core.trace import Trace, TraceMetadata
-from repro.frontend.pipeline import FrontendPipeline
 from repro.offline.flack import FLACKPolicy
 from repro.offline.future import (
     NEVER,
@@ -102,6 +101,26 @@ class TestColumnarFutureIndex:
         assert exact is not start
 
 
+    def test_score_layouts_agree(self, zen3):
+        # _score (columnar span+occ) and its dict+bisect oracle
+        # _score_reference must rank identically for every window at
+        # every point in time.
+        from repro.core.pw import StoredPW
+
+        trace = random_trace(n=400, seed=97)
+        config = zen3.uop_cache
+        fast = FLACKPolicy(trace, config)
+        assert isinstance(fast.future, ColumnarFutureIndex)
+        fast._times = FutureIndex(trace, IdentityMode.START)._times
+        rng = random.Random(13)
+        for lookup in trace:
+            stored = StoredPW.from_lookup(lookup, config.uops_per_entry)
+            now = rng.randrange(0, len(trace) + 2)
+            assert fast._score(stored, now) == pytest.approx(
+                fast._score_reference(stored, now)
+            )
+
+
 class TestSharedIntervals:
     @pytest.mark.parametrize("identity", [IdentityMode.EXACT, IdentityMode.START])
     @pytest.mark.parametrize(
@@ -129,58 +148,3 @@ class TestSharedIntervals:
         )
         first = shared_intervals(trace, config, **kwargs)
         assert shared_intervals(trace, config, **kwargs) is first
-
-
-class TestFastPathToggle:
-    """REPRO_POLICY_FASTPATH=0 must reproduce the reference behaviour."""
-
-    @pytest.mark.parametrize("policy_name", ["flack[foo]", "flack"])
-    def test_policy_stats_identical(self, monkeypatch, zen3, policy_name):
-        import dataclasses
-
-        flags = dict(
-            async_aware="A" in policy_name or policy_name == "flack",
-            variable_cost=policy_name == "flack",
-            selective_bypass=policy_name == "flack",
-        )
-        if policy_name == "flack[foo]":
-            flags = dict(
-                async_aware=False, variable_cost=False, selective_bypass=False
-            )
-
-        def simulate() -> dict:
-            trace = random_trace(n=800, seed=77)
-            policy = FLACKPolicy(trace, zen3.uop_cache, **flags)
-            stats = FrontendPipeline(zen3, policy).run(trace)
-            return dataclasses.asdict(stats)
-
-        fast = simulate()
-        monkeypatch.setenv("REPRO_POLICY_FASTPATH", "0")
-        reference = simulate()
-        assert fast == reference
-
-    def test_reference_index_used_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY_FASTPATH", "0")
-        trace = random_trace(n=100, seed=91)
-        index = shared_future_index(trace, IdentityMode.EXACT)
-        assert isinstance(index, FutureIndex)
-        assert not isinstance(index, ColumnarFutureIndex)
-
-    def test_score_layouts_agree(self, zen3):
-        # The two _score implementations (reference dict+bisect vs
-        # columnar span+occ) must rank identically for every window at
-        # every point in time.
-        from repro.core.pw import StoredPW
-
-        trace = random_trace(n=400, seed=97)
-        config = zen3.uop_cache
-        fast = FLACKPolicy(trace, config)
-        assert isinstance(fast.future, ColumnarFutureIndex)
-        fast._times = FutureIndex(trace, IdentityMode.START)._times
-        rng = random.Random(13)
-        for lookup in trace:
-            stored = StoredPW.from_lookup(lookup, config.uops_per_entry)
-            now = rng.randrange(0, len(trace) + 2)
-            assert fast._score_columnar(stored, now) == pytest.approx(
-                fast._score_reference(stored, now)
-            )

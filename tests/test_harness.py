@@ -157,17 +157,26 @@ class TestSharedArtifacts:
         cold = dataclasses.asdict(run(request))
         assert reference == again == cold
 
-    def test_artifact_sharing_matches_reference_path(self, monkeypatch):
+    def test_artifact_sharing_matches_reference_path(self):
+        """The shared artifact store yields exactly the profile a direct
+        profiling run builds."""
+        from repro.harness.artifacts import shared_profile
+        from repro.profiling import profile_application
+        from repro.workloads.registry import get_trace
+
         clear_memory_cache()
-        fast = dataclasses.asdict(
-            run(RunRequest(app="kafka", policy="furbys", **SMALL))
+        request = RunRequest(app="kafka", policy="furbys", **SMALL)
+        config = request.build_config()
+        options = dict(source="flack", n_bits=3, scope="per_set")
+        shared = shared_profile(
+            "kafka", "default", request.trace_len, config,
+            geometry=["zen3"], **options,
         )
-        monkeypatch.setenv("REPRO_POLICY_FASTPATH", "0")
-        clear_memory_cache()
-        reference = dataclasses.asdict(
-            run(RunRequest(app="kafka", policy="furbys", **SMALL))
+        direct = profile_application(
+            get_trace("kafka", "default", request.trace_len), config,
+            **options,
         )
-        assert fast == reference
+        assert shared == direct
 
 
 def _hammer_same_key(cache_dir: str, rounds: int) -> str:
@@ -425,6 +434,31 @@ class TestCli:
         from repro.cli import main
         assert main(["tab1"]) == 0
         assert "Micro-op cache" in capsys.readouterr().out
+
+    def test_trace_len_flag_sets_the_default_trace_length(self, monkeypatch):
+        """``--trace-len`` reaches requests that use the default length,
+        although the CLI imports the experiments before parsing flags."""
+        from repro.cli import main
+        from repro.workloads import registry
+
+        # main() writes these; registering them restores them afterwards.
+        monkeypatch.setenv("REPRO_TRACE_LEN", "45000")
+        monkeypatch.setenv("REPRO_APPS", "kafka")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        lengths = []
+        remember = registry._remember
+
+        def spy(key, trace):
+            lengths.append(key[2])
+            remember(key, trace)
+
+        monkeypatch.setattr(registry, "_remember", spy)
+        clear_memory_cache()
+        argv = ["fig5", "--apps", "kafka", "--trace-len", "3000",
+                "--jobs", "1"]
+        assert main(argv) == 0
+        clear_memory_cache()
+        assert lengths and set(lengths) == {3000}
 
 
 class TestBarChart:

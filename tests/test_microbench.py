@@ -11,7 +11,6 @@ class TestMicrobenchRun:
         result = microbench_run("kafka", "lru", trace_len=800, repeats=1)
         assert result.identical_to_reference
         assert result.trace_gen_s > 0
-        assert result.prepare_s > 0
         assert result.pipeline_s > 0
         assert result.reference_s > 0
         assert result.policy_hook_calls > 0

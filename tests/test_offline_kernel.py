@@ -18,8 +18,7 @@ profile-guided families (:mod:`repro.frontend.simd_offline`):
   informational ``sim_fallbacks`` bucket (not ``total_faults``).
 * **Chaos variant** — ``REPRO_FAULT_SPEC``-injected worker crashes must
   leave batch results over offline arms bit-identical to a clean
-  serial run, and ``REPRO_SIM_FASTPATH=0`` must keep the kernel entry
-  point unreached.
+  serial run.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro import faultinject, stagetimer
 from repro.config import preset
 from repro.core.pw import PWLookup
 from repro.core.trace import Trace
-from repro.frontend import simd
 from repro.frontend.pipeline import FrontendPipeline
 from repro.harness import resilience
 from repro.harness.parallel import run_batch, run_many
@@ -42,6 +40,7 @@ from repro.harness.runner import RunRequest, clear_memory_cache
 from repro.offline.belady import BeladyPolicy
 from repro.offline.flack import FLACKPolicy
 from repro.offline.foo import FOOPolicy
+from repro.policies import make_policy
 from repro.policies.furbys import FurbysPolicy
 from repro.policies.thermometer import ThermometerPolicy
 from repro.workloads.registry import clear_trace_cache, get_trace
@@ -166,10 +165,9 @@ def test_offline_kernel_matches_reference(n, sets, ways, policy):
     kernel_pipeline = FrontendPipeline(config, kernel_policy, hints=hints)
     with stagetimer.capture() as stages:
         kernel_stats = kernel_pipeline.run(trace, warmup=warmup)
-    if simd._np is not None:
-        assert stages.get("sim_kernel_calls"), (
-            "offline kernel did not run for a supported configuration"
-        )
+    assert stages.get("sim_kernel_calls"), (
+        "offline kernel did not run for a supported configuration"
+    )
 
     reference_policy, hints = _build(policy, trace, config)
     reference_pipeline = FrontendPipeline(
@@ -193,8 +191,7 @@ def test_hit_rate_recording_matches_reference(policy):
         config, kernel_policy, record_hit_rates=True)
     with stagetimer.capture() as stages:
         kernel_stats = kernel_pipeline.run(trace)
-    if simd._np is not None:
-        assert stages.get("sim_kernel_calls")
+    assert stages.get("sim_kernel_calls")
 
     reference_policy, _ = _build(policy, trace, config)
     reference_pipeline = FrontendPipeline(
@@ -208,44 +205,48 @@ def test_hit_rate_recording_matches_reference(policy):
 
 
 class TestFallbackVisibility:
-    def test_unsupported_shape_counts_a_reasoned_fallback(self, monkeypatch):
-        """Miss classification is reference-only; running it under an
-        offline policy must count sim_fallback:<policy>:miss_classifier
-        while staying bit-identical."""
-        monkeypatch.delenv("REPRO_SIM_FASTPATH", raising=False)
-        resilience.reset_counters()
+    @pytest.mark.parametrize("reason", (
+        "unsupported_policy", "miss_classifier", "perfect_uop_cache",
+        "pw_hit_stats",
+    ))
+    def test_unsupported_shape_counts_a_reasoned_fallback(self, reason):
+        """Shapes no kernel serves — a policy without a kernel (SHiP++),
+        miss classification, a perfect uop cache, per-PW recording under
+        an online policy — run the reference loop, count exactly one
+        sim_fallback:<policy>:<reason> and stay bit-identical."""
         config = preset("zen3").with_uop_cache(entries=32, ways=4)
+        if reason == "perfect_uop_cache":
+            config = config.with_perfect("uop_cache")
         trace = _random_trace(seed=5, n=1_200)
-        policy, _ = _build("belady", trace, config)
-        pipeline = FrontendPipeline(config, policy, classify_misses=True)
-        stats = pipeline.run(trace)
-        counters = resilience.global_counters()
-        assert counters.get("sim_fallback:belady:miss_classifier") == 1
-        reference_policy, _ = _build("belady", trace, config)
-        reference = FrontendPipeline(
-            config, reference_policy, classify_misses=True
-        ).run_reference(trace)
-        assert dataclasses.asdict(stats) == dataclasses.asdict(reference)
+
+        def pipeline() -> FrontendPipeline:
+            if reason == "unsupported_policy":
+                policy = make_policy("ship++")
+            elif reason == "pw_hit_stats":
+                policy = make_policy("lru")
+            else:
+                policy, _ = _build("belady", trace, config)
+            return FrontendPipeline(
+                config, policy,
+                classify_misses=reason == "miss_classifier",
+                record_hit_rates=reason == "pw_hit_stats",
+            )
+
         resilience.reset_counters()
-
-    def test_fastpath_off_is_not_counted_as_fallback(self, monkeypatch):
-        """REPRO_SIM_FASTPATH=0 is an explicit choice, not a silent
-        degradation — no counter, and the kernel is never entered."""
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
+        served = pipeline()
+        stats = served.run(trace)
+        fallbacks = {
+            name: count
+            for name, count in resilience.global_counters().items()
+            if name.startswith("sim_fallback:")
+        }
         resilience.reset_counters()
-
-        def _poisoned(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("kernel ran despite REPRO_SIM_FASTPATH=0")
-
-        monkeypatch.setattr(simd, "run_kernel", _poisoned)
-        config = preset("zen3").with_uop_cache(entries=32, ways=4)
-        trace = _random_trace(seed=6, n=1_000)
-        policy, _ = _build("flack", trace, config)
-        FrontendPipeline(config, policy).run(trace)
-        assert not any(
-            name.startswith("sim_fallback:")
-            for name in resilience.global_counters()
-        )
+        assert fallbacks == {
+            f"sim_fallback:{served.policy.name}:{reason}": 1}
+        reference = pipeline()
+        assert dataclasses.asdict(stats) == \
+            dataclasses.asdict(reference.run_reference(trace))
+        assert served.pw_hit_stats == reference.pw_hit_stats
 
     def test_fault_report_routes_sim_fallbacks_separately(self):
         """sim_fallback:* counters are informational: itemized on the
@@ -316,24 +317,4 @@ class TestChaos:
         )
         assert [dataclasses.asdict(s) for s in results] == reference
         assert report.faults.crashed >= 1
-        _cold()
-
-    def test_fastpath_off_under_run_batch(self, monkeypatch):
-        """REPRO_SIM_FASTPATH=0 restores the reference path for an
-        offline arm end-to-end under run_batch (poisoned kernel)."""
-        request = RunRequest(app="kafka", policy="foo-ohr",
-                             trace_len=1_200, warmup=400)
-        _cold()
-        monkeypatch.delenv("REPRO_SIM_FASTPATH", raising=False)
-        (stats_on,), _ = run_batch([request], jobs=1)
-
-        _cold()
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-
-        def _poisoned(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("kernel ran despite REPRO_SIM_FASTPATH=0")
-
-        monkeypatch.setattr(simd, "run_kernel", _poisoned)
-        (stats_off,), _ = run_batch([request], jobs=1)
-        assert dataclasses.asdict(stats_on) == dataclasses.asdict(stats_off)
         _cold()

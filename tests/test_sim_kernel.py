@@ -1,19 +1,15 @@
-"""Bit-identity and fallback guards for the vectorized simulation kernel.
+"""Bit-identity and memory guards for the vectorized simulation kernel.
 
-Three layers:
+Two layers:
 
 * **Property sweep** — randomized cache geometries (sets x ways), all
   kernel-eligible policies, trace lengths 1k / 20k / 100k: the
   :mod:`repro.frontend.simd` kernel must reproduce
   :meth:`FrontendPipeline.run_reference` stats *and* end-of-run policy
   state field-by-field.
-* **Chaos knob** — ``REPRO_SIM_FASTPATH=0`` must restore the reference
-  path end-to-end under :func:`~repro.harness.parallel.run_batch`
-  (the kernel entry point is poisoned to prove it is never reached),
-  and a missing numpy must degrade the same way.
 * **Memory release** — :func:`~repro.harness.runner.clear_memory_cache`
-  must drop every memoized per-trace entry (columnar future index,
-  prepared-trace derivations), verified with
+  must drop every memoized per-trace entry (kernel columns,
+  columnar future index), verified with
   :func:`repro.core.trace.memo_census`.
 """
 
@@ -29,10 +25,8 @@ from repro import stagetimer
 from repro.config import preset
 from repro.core.pw import PWLookup
 from repro.core.trace import Trace, memo_census
-from repro.frontend import simd
 from repro.frontend.pipeline import FrontendPipeline
-from repro.harness.parallel import run_batch
-from repro.harness.runner import RunRequest, clear_memory_cache
+from repro.harness.runner import clear_memory_cache
 from repro.policies import make_policy
 from repro.workloads.registry import clear_trace_cache, get_trace
 
@@ -125,10 +119,9 @@ def test_kernel_matches_reference(n, sets, ways, policy):
     kernel_pipeline = FrontendPipeline(config, kernel_policy)
     with stagetimer.capture() as stages:
         kernel_stats = kernel_pipeline.run(trace, warmup=warmup)
-    if simd._np is not None:
-        assert stages.get("sim_kernel_calls"), (
-            "vectorized kernel did not run for a supported configuration"
-        )
+    assert stages.get("sim_kernel_calls"), (
+        "vectorized kernel did not run for a supported configuration"
+    )
 
     reference_policy = make_policy(policy)
     reference_pipeline = FrontendPipeline(config, reference_policy)
@@ -139,42 +132,8 @@ def test_kernel_matches_reference(n, sets, ways, policy):
     assert _policy_state(kernel_policy) == _policy_state(reference_policy)
 
 
-def test_fastpath_off_restores_reference_under_run_batch(monkeypatch):
-    """REPRO_SIM_FASTPATH=0 routes run_batch through the reference path
-    end-to-end: identical results, kernel entry never reached."""
-    request = RunRequest(app="kafka", policy="srrip",
-                         trace_len=1500, warmup=500)
-    _cold()
-    monkeypatch.delenv("REPRO_SIM_FASTPATH", raising=False)
-    (stats_on,), _ = run_batch([request], jobs=1)
-
-    _cold()
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-
-    def _poisoned(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("kernel ran despite REPRO_SIM_FASTPATH=0")
-
-    monkeypatch.setattr(simd, "run_kernel", _poisoned)
-    (stats_off,), _ = run_batch([request], jobs=1)
-    assert dataclasses.asdict(stats_on) == dataclasses.asdict(stats_off)
-    _cold()
-
-
-def test_missing_numpy_falls_back_to_reference_loop(monkeypatch):
-    """Without numpy the default entry point silently degrades to the
-    prepared-trace loop with unchanged results."""
-    monkeypatch.setattr(simd, "_np", None)
-    assert not simd.sim_fastpath_enabled()
-    config = preset("zen3").with_uop_cache(entries=32, ways=4)
-    trace = _random_trace(seed=9, n=800)
-    fallback = FrontendPipeline(config, make_policy("lru")).run(trace)
-    reference = FrontendPipeline(
-        config, make_policy("lru")).run_reference(trace)
-    assert dataclasses.asdict(fallback) == dataclasses.asdict(reference)
-
-
 def test_clear_memory_cache_releases_trace_memos():
-    """Per-trace memo entries (prepared derivations, future indexes) are
+    """Per-trace memo entries (kernel columns, future indexes) are
     released with the registry LRU — no memory-resident leftovers."""
     _cold()
     gc.collect()

@@ -99,16 +99,10 @@ def test_trace_facade_equivalence_both_backings():
     assert columnar.total_branches == cyclic_trace.total_branches
     assert columnar.unique_starts() == cyclic_trace.unique_starts()
     assert columnar.slice(2, 7).lookups == cyclic_trace.slice(2, 7).lookups
-    prepared_a = columnar.prepared(
-        n_sets=8, uops_per_entry=8, line_bytes=64,
-        set_index_fn=default_set_index,
-    )
-    prepared_b = cyclic_trace.prepared(
-        n_sets=8, uops_per_entry=8, line_bytes=64,
-        set_index_fn=default_set_index,
-    )
-    assert prepared_a.set_indices == prepared_b.set_indices
-    assert prepared_a.entry_sizes == prepared_b.entry_sizes
+    from repro.offline.intervals import _set_timeline
+
+    assert _set_timeline(columnar, 8, default_set_index) == \
+        _set_timeline(cyclic_trace, 8, default_set_index)
 
 
 def test_trace_rejects_both_backings():
@@ -297,17 +291,13 @@ def test_callable_token_does_not_pin_closures():
 
 
 def test_prepared_shares_pass_across_equivalent_set_index_fns():
+    """The per-lookup set timeline keys its memo by callable_token."""
+    from repro.offline.intervals import _set_timeline
     from repro.uopcache import cache as cache_module
 
     cyclic_trace = make_cyclic_trace(8, 5)
-    first = cyclic_trace.prepared(
-        n_sets=8, uops_per_entry=8, line_bytes=64,
-        set_index_fn=default_set_index,
-    )
-    second = cyclic_trace.prepared(
-        n_sets=8, uops_per_entry=8, line_bytes=64,
-        set_index_fn=cache_module.default_set_index,
-    )
+    first = _set_timeline(cyclic_trace, 8, default_set_index)
+    second = _set_timeline(cyclic_trace, 8, cache_module.default_set_index)
     assert first is second  # one memo entry, one derivation pass
 
 
