@@ -6,14 +6,6 @@ Examples::
     repro fig8                 # FURBYS miss-reduction table
     repro fig10 --apps kafka   # FLACK ablation on one app
     repro fig8 --jobs 4        # fan cold runs out over 4 workers
-    repro bench                # time a batch serial vs parallel
-    repro bench --micro        # per-stage single-run microbenchmark
-    repro bench --micro --baseline benchmarks/microbench_baseline.json
-    repro bench --stage policy_build   # policy construction only
-    repro bench --stage trace_build    # trace construction only
-    repro bench --stage offline_sim    # offline/profile-guided kernel arms
-    repro bench --stage fused_sim      # arm-fused sweep vs per-arm kernels
-    repro bench --profile      # cProfile one cold run
     repro bench --chaos        # fault-injection smoke (crash/hang/corrupt)
     repro bench --chaos-resume # SIGKILL an experiment mid-run, resume it
     repro fig8 --on-error skip # keep partial results on worker failures
@@ -39,17 +31,7 @@ from .harness.reporting import (
 
 
 def _bench(args: argparse.Namespace) -> int:
-    """Time a representative cold batch serial vs. parallel."""
-    from .harness.bench import (
-        BENCH_APPS, BENCH_POLICIES, chaos_smoke, compare_serial_parallel,
-        representative_requests,
-    )
-
-    apps = tuple(args.apps.split(",")) if args.apps else BENCH_APPS
-    policies = (
-        tuple(args.policies.split(",")) if args.policies else BENCH_POLICIES
-    )
-
+    """Run one of the batch engine's correctness proofs."""
     if args.chaos_resume:
         from .harness.bench import chaos_resume_proof
 
@@ -58,11 +40,13 @@ def _bench(args: argparse.Namespace) -> int:
         return 0 if outcome["passed"] else 1
 
     if args.chaos:
+        from .harness.bench import chaos_smoke
+
         kwargs = {}
         if args.apps:
-            kwargs["apps"] = apps
+            kwargs["apps"] = tuple(args.apps.split(","))
         if args.policies:
-            kwargs["policies"] = policies
+            kwargs["policies"] = tuple(args.policies.split(","))
         if args.trace_len:
             kwargs["trace_len"] = args.trace_len
         if args.jobs:
@@ -74,114 +58,10 @@ def _bench(args: argparse.Namespace) -> int:
         ok = outcome["identical_results"] and outcome["faults_accounted"]
         return 0 if ok else 1
 
-    if args.profile:
-        from .harness.microbench import profile_run
-
-        print(profile_run(
-            apps[0], policies[0],
-            trace_len=args.trace_len or 20_000,
-        ))
-        return 0
-
-    if args.stage:
-        if args.stage == "policy_build":
-            from .harness.microbench import policy_build_batch
-
-            outcome = policy_build_batch(
-                apps, policies, trace_len=args.trace_len or 20_000
-            )
-        elif args.stage == "trace_build":
-            from .harness.microbench import trace_build_batch
-
-            outcome = trace_build_batch(
-                apps, trace_len=args.trace_len or 20_000,
-                repeats=args.repeats,
-            )
-        elif args.stage == "frontend_sim":
-            from .harness.microbench import frontend_sim_batch
-
-            outcome = frontend_sim_batch(
-                apps, policies, trace_len=args.trace_len or 20_000,
-                repeats=args.repeats,
-            )
-        elif args.stage == "offline_sim":
-            from .harness.microbench import (
-                OFFLINE_BENCH_POLICIES, offline_sim_batch,
-            )
-
-            outcome = offline_sim_batch(
-                apps,
-                policies if args.policies else OFFLINE_BENCH_POLICIES,
-                trace_len=args.trace_len or 20_000,
-                repeats=args.repeats,
-            )
-        elif args.stage == "fused_sim":
-            from .harness.microbench import (
-                FUSED_BENCH_POLICIES, fused_sim_batch,
-            )
-
-            outcome = fused_sim_batch(
-                apps,
-                policies if args.policies else FUSED_BENCH_POLICIES,
-                trace_len=args.trace_len or 20_000,
-                repeats=args.repeats,
-            )
-        else:
-            print(f"unknown --stage {args.stage!r}; 'policy_build', "
-                  "'trace_build', 'frontend_sim', 'offline_sim' and "
-                  "'fused_sim' are available",
-                  file=sys.stderr)
-            return 2
-        text = json.dumps(outcome, indent=2)
-        print(text)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-        if args.baseline:
-            from .harness.microbench import check_baseline
-
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-            ok, message = check_baseline(
-                outcome["aggregate"], baseline["aggregate"],
-                tolerance=args.tolerance,
-            )
-            print(message, file=sys.stderr)
-            if not ok:
-                return 1
-        if args.stage in ("frontend_sim", "offline_sim", "fused_sim"):
-            return 0 if outcome["aggregate"]["identical_results"] else 1
-        return 0
-
-    if args.micro:
-        from .harness.microbench import check_baseline, microbench_batch
-
-        outcome = microbench_batch(
-            apps, policies,
-            trace_len=args.trace_len or 20_000,
-            repeats=args.repeats,
-        )
-        text = json.dumps(outcome, indent=2)
-        print(text)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text + "\n")
-        if args.baseline:
-            with open(args.baseline) as handle:
-                baseline = json.load(handle)
-            ok, message = check_baseline(
-                outcome["aggregate"], baseline["aggregate"],
-                tolerance=args.tolerance,
-            )
-            print(message, file=sys.stderr)
-            if not ok:
-                return 1
-        return 0 if outcome["aggregate"]["identical_results"] else 1
-
-    requests = representative_requests(apps=apps, trace_len=args.trace_len)
-    outcome = compare_serial_parallel(requests, jobs=args.jobs)
-    print(json.dumps(outcome, indent=2))
-    return 0 if outcome["identical_results"] else 1
+    print("repro bench runs the correctness proofs --chaos and "
+          "--chaos-resume; performance is measured by "
+          "'python3 -m bench' (see bench/README.md)", file=sys.stderr)
+    return 2
 
 
 def _render(name: str) -> str:
@@ -262,11 +142,6 @@ def main(argv: list[str] | None = None) -> int:
              "chunk is retried/rerouted)",
     )
     parser.add_argument(
-        "--micro", action="store_true",
-        help="bench only: per-stage single-run microbenchmark "
-             "(trace gen / policy build / run / reference / hooks)",
-    )
-    parser.add_argument(
         "--chaos", action="store_true",
         help="bench only: fault-injection smoke — inject a worker crash, "
              "a hang and a corrupt cache artifact into a batch and verify "
@@ -280,39 +155,8 @@ def main(argv: list[str] | None = None) -> int:
              "stats with zero re-execution of journaled requests",
     )
     parser.add_argument(
-        "--profile", action="store_true",
-        help="bench only: cProfile one cold run (first app x first policy)",
-    )
-    parser.add_argument(
-        "--stage",
-        help="bench only: time a single stage instead of full runs "
-             "('policy_build': policy construction with its per-stage "
-             "breakdown; 'trace_build': cold trace construction — no "
-             "simulation loops either way; 'frontend_sim': kernel vs "
-             "reference simulation arms; 'offline_sim': the "
-             "same over the offline/profile-guided policies; 'fused_sim': "
-             "one arm-fused sweep vs the per-arm kernels)",
-    )
-    parser.add_argument(
         "--policies",
-        help="bench only: comma-separated policy subset for --micro/--profile",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="bench only: loop repetitions per --micro timing (best-of)",
-    )
-    parser.add_argument(
-        "--baseline",
-        help="bench only: microbench JSON to guard against (exit 1 when "
-             "lookups/s falls more than --tolerance below it)",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="bench only: allowed fractional regression vs --baseline",
-    )
-    parser.add_argument(
-        "--output",
-        help="bench only: also write the --micro report to this file",
+        help="bench only: comma-separated policy subset for --chaos",
     )
     args = parser.parse_args(argv)
 

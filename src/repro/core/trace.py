@@ -17,9 +17,10 @@ Two backing representations share the one façade:
   over the columns; the object list is materialized lazily only when a
   consumer (the reference simulation loop) actually indexes lookups.
 
-``REPRO_TRACE_FASTPATH=0`` restores the reference path end-to-end:
-generation emits objects, no columnar backing, no binary disk trace
-cache, no shared-memory fan-out.
+Generation always emits columns; the object list survives as the
+reference representation and as the output of the generator's
+RNG-order oracle (``TraceGenerator._generate_reference``), which only
+tests call.
 
 Traces serialize to two interchangeable formats:
 
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import struct
 import sys
 import weakref
@@ -77,18 +77,6 @@ FLAG_MISPREDICTED = 4
 _START_CODE, _COUNT_CODE, _FLAG_CODE = "Q", "I", "B"
 assert array(_START_CODE).itemsize == 8 and array(_COUNT_CODE).itemsize == 4
 _LOOKUP_BYTES = 8 + 4 + 4 + 4 + 1
-
-
-def trace_fastpath_enabled() -> bool:
-    """Whether the columnar trace engine is active (default: yes).
-
-    ``REPRO_TRACE_FASTPATH=0`` restores the reference path end-to-end:
-    object-emitting trace generation, no columnar backing store, no
-    binary disk trace cache and no shared-memory fan-out.  The trace
-    benchmark (``scripts/bench_trace_engine.py``) uses it to time the
-    before arm.
-    """
-    return os.environ.get("REPRO_TRACE_FASTPATH", "1") != "0"
 
 
 def callable_token(fn: Callable) -> Hashable:

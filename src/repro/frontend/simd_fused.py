@@ -26,16 +26,14 @@ Columns come from one windowed source, sized by :data:`STREAM_WINDOW`:
   :func:`repro.frontend.simd._build_columns`), so every access stays
   inside the live window.
 
-``REPRO_SIM_FUSE=0`` disables the multi-arm prepass (each arm then runs
-as its own one-arm group); a group this driver cannot serve raises
-:class:`FusedUnsupported` and the caller falls back to the per-arm
-path, counting ``sim_fallback:fused:<reason>``.
+A group this driver cannot serve raises :class:`FusedUnsupported` and
+the caller falls back to the per-arm path, counting
+``sim_fallback:fused:<reason>``.
 """
 
 from __future__ import annotations
 
 import gc as _gc
-import os
 
 from .. import stagetimer
 from ..core.stats import SimulationStats
@@ -58,11 +56,6 @@ class FusedUnsupported(Exception):
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
         self.reason = reason
-
-
-def fuse_enabled() -> bool:
-    """Whether the multi-arm batch prepass may be used at all."""
-    return os.environ.get("REPRO_SIM_FUSE", "1") != "0"
 
 
 def _window_columns(pipeline, trace, lo: int, hi: int) -> dict:

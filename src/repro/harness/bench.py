@@ -1,11 +1,13 @@
-"""Serial-vs-parallel timing of a representative figure batch.
+"""Correctness proofs of the batch engine (``repro bench --chaos`` and
+``repro bench --chaos-resume``) and the representative figure batch.
 
-Used by ``repro bench`` and ``scripts/bench_parallel.py`` to make the
-batch engine's win (or lack of it — e.g. on a single-core host)
-observable: the same cold-cache request list is executed through
-:func:`~repro.harness.parallel.run_batch` with ``jobs=N`` and ``jobs=1``
-and the wall-clock times, cache counters, and a result-determinism
-check are reported as one JSON-able dict.
+:func:`chaos_smoke` injects a worker crash, a hang and a corrupt cache
+artifact into a parallel batch and checks it against a clean serial
+run; :func:`chaos_resume_proof` SIGKILLs a recorded experiment
+mid-batch and checks that resuming it re-executes nothing journaled.
+:func:`representative_requests` is the Figure 5/8-shaped batch both
+proofs and the ledger's ``"bench"`` experiment run.  Performance is
+measured elsewhere, by the ``bench`` package (``python3 -m bench``).
 """
 
 from __future__ import annotations
@@ -47,53 +49,6 @@ def representative_requests(
 def _cold_start() -> None:
     clear_memory_cache()
     clear_trace_cache()
-
-
-def compare_serial_parallel(
-    requests: list[RunRequest], jobs: int | None = None
-) -> dict:
-    """Time one cold batch with ``jobs`` workers vs. the serial path.
-
-    The disk cache is disabled and the in-process caches are cleared
-    before each arm so both start cold; the parallel arm runs first so
-    its forked workers cannot inherit traces warmed by the serial arm.
-    Results of the two arms are compared field-by-field.
-    """
-    jobs = resolve_jobs(jobs)
-    saved = os.environ.get("REPRO_CACHE")
-    os.environ["REPRO_CACHE"] = "0"
-    try:
-        _cold_start()
-        started = time.perf_counter()
-        parallel_stats, parallel_report = run_batch(requests, jobs=jobs)
-        parallel_s = time.perf_counter() - started
-
-        _cold_start()
-        started = time.perf_counter()
-        serial_stats, serial_report = run_batch(requests, jobs=1)
-        serial_s = time.perf_counter() - started
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_CACHE", None)
-        else:
-            os.environ["REPRO_CACHE"] = saved
-
-    identical = all(
-        dataclasses.asdict(a) == dataclasses.asdict(b)
-        for a, b in zip(parallel_stats, serial_stats)
-    )
-    return {
-        "requests": len(requests),
-        "unique": serial_report.unique,
-        "jobs": jobs,
-        "cpu_count": os.cpu_count(),
-        "serial_s": round(serial_s, 3),
-        "parallel_s": round(parallel_s, 3),
-        "speedup": round(serial_s / parallel_s, 3) if parallel_s > 0 else None,
-        "identical_results": identical,
-        "parallel_report": parallel_report.to_json(),
-        "serial_report": serial_report.to_json(),
-    }
 
 
 _CHAOS_ENV = (

@@ -13,9 +13,8 @@ list to :func:`run_many` instead of looping over ``run()``:
    ``multiprocessing.shared_memory``, and workers on the
    :class:`~concurrent.futures.ProcessPoolExecutor` copy the columns
    straight out of the segment instead of regenerating the trace or
-   unpickling tens of thousands of ``PWLookup`` objects (with
-   ``REPRO_TRACE_FASTPATH=0``, or if shared memory is unavailable,
-   workers re-derive traces as before);
+   unpickling tens of thousands of ``PWLookup`` objects (if shared
+   memory is unavailable, workers re-derive traces instead);
 4. **write-back** — worker results are stored into both cache layers in
    the parent, so memoization semantics are unchanged.
 
@@ -24,10 +23,9 @@ Before any cold request runs per-arm, the **arm-fused prepass**
 the workers otherwise) groups requests that share a trace and geometry
 and advances all of their policy arms in one
 :func:`repro.frontend.simd_fused.run_group` sweep, bit-identical to
-the per-arm kernels.  ``REPRO_SIM_FUSE=0`` disables it end-to-end;
-ineligible arms and failed groups reroute to the per-arm path with a
-``sim_fallback:fused:<reason>`` counter, and served work is counted
-under ``sim_fused:*`` in the batch report.
+the per-arm kernels.  Ineligible arms and failed groups reroute to
+the per-arm path with a ``sim_fallback:fused:<reason>`` counter, and
+served work is counted under ``sim_fused:*`` in the batch report.
 
 Within each worker the shared offline-artifact store
 (:mod:`repro.harness.artifacts`) collapses the per-policy offline work
@@ -91,7 +89,7 @@ from typing import Iterable, Sequence
 
 from .. import faultinject, stagetimer
 from ..core.stats import SimulationStats
-from ..core.trace import Trace, TraceColumns, TraceMetadata, trace_fastpath_enabled
+from ..core.trace import Trace, TraceColumns, TraceMetadata
 from ..errors import FaultInjectionError, ReproError, TraceError
 from ..frontend import simd_fused
 from . import resilience
@@ -234,8 +232,6 @@ def _export_traces(
     """
     descriptors: TraceDescriptors = {}
     segments: list = []
-    if not trace_fastpath_enabled():
-        return descriptors, segments
     try:
         from multiprocessing import shared_memory
     except ImportError:  # pragma: no cover - stdlib always has it
@@ -421,7 +417,7 @@ def _fused_prepass(
     — singleton groups, ineligible arms, or whole groups whose fused
     run failed — preserving the original submission order.
     """
-    if len(cold) < 2 or not simd_fused.fuse_enabled():
+    if len(cold) < 2:
         return cold
     groups: dict[tuple, list[tuple[str, RunRequest]]] = {}
     for pair in cold:

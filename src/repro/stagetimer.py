@@ -1,14 +1,14 @@
-"""Opt-in wall-clock attribution for policy-construction stages.
+"""Opt-in wall-clock attribution for the stages inside a layer.
 
-Policy construction spans several layers (future index, interval
-decomposition, admission planning, flow solving, profiling simulation,
-hint building) that the ``policy_build_s`` aggregate of
-:mod:`repro.harness.microbench` lumps together.  Each stage wraps its
-work in :func:`timed`; when no capture is active (the normal case —
-every experiment run) the wrapper is a no-op, so the instrumentation
-costs nothing on the hot path.  ``repro bench --micro`` and
-``repro bench --stage policy_build`` activate :func:`capture` around
-policy construction and report the per-stage breakdown.
+Trace construction (CFG build, MPKI pilot, walk) and policy
+construction (future index, interval decomposition, admission
+planning, flow solving, profiling simulation, hint building) each span
+several stages.  Each stage wraps its work in :func:`timed`; when no
+capture is active (the normal case — every experiment run) the wrapper
+is a no-op, so the instrumentation costs nothing on the hot path.  The
+traced replay of ``python3 -m bench --trace 1`` (``bench/child.py``)
+activates :func:`capture` around each layer it times and reports the
+per-stage breakdown under that layer.
 """
 
 from __future__ import annotations

@@ -17,6 +17,11 @@ Because the static code image is deterministic, two dynamic PWs with the
 same start address and same branch outcomes are identical — and the same
 start with a different outcome on an internal branch yields the
 overlapping same-start/different-length windows of Section II-D.
+
+:meth:`TraceGenerator.generate` walks straight into packed trace
+columns.  The object walk (``_run_function``/``_emit``) is kept only as
+the RNG-order oracle behind ``TraceGenerator._generate_reference``,
+which tests call.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from ..core.trace import (
     Trace,
     TraceColumns,
     TraceMetadata,
-    trace_fastpath_enabled,
 )
 from ..errors import ConfigurationError
 from .cfg import BasicBlock, ProgramCFG
@@ -380,14 +384,15 @@ class TraceGenerator:
         return min(rank, len(self._zipf_cdf) - 1)
 
     def _run_function_cols(self, findex: int, depth: int) -> None:
-        """Columnar fast-path twin of :meth:`_run_function`.
+        """Columnar twin of :meth:`_run_function`, the walk
+        :meth:`generate` runs.
 
-        Identical control flow and RNG consumption order (the property
-        tests and ``scripts/bench_trace_engine.py`` assert the emitted
-        sequences match), but windows append straight into the packed
-        columns and the pending window lives in locals — valid because
-        a function always enters and exits with an empty pending window
-        (every exit path flushes it).  :meth:`_consume_block`,
+        Identical control flow and RNG consumption order (the trace
+        engine tests assert the emitted sequence matches
+        :meth:`_generate_reference`), but windows append straight into
+        the packed columns and the pending window lives in locals —
+        valid because a function always enters and exits with an empty
+        pending window (every exit path flushes it).  :meth:`_consume_block`,
         :meth:`_emit` and :meth:`_periodic_outcome` are inlined; any
         behavioural change there must be mirrored here.
         """
@@ -538,16 +543,27 @@ class TraceGenerator:
         When a misprediction-MPKI target is set, a deterministic pilot
         walk first measures the dynamic misprediction rate (the static
         calibration cannot see hotness skew) and rescales the per-branch
-        rates before the real walk.
-
-        On the fast path (the default) windows are emitted straight
-        into packed :class:`~repro.core.trace.TraceColumns`;
-        ``REPRO_TRACE_FASTPATH=0`` restores the reference object-list
-        emission.  Both paths produce identical lookup sequences.
+        rates before the real walk.  Windows are emitted straight into
+        packed :class:`~repro.core.trace.TraceColumns`.
         """
+        return self._generate(n_lookups, metadata, fast=True)
+
+    def _generate_reference(
+        self, n_lookups: int, metadata: TraceMetadata | None = None
+    ) -> Trace:
+        """:meth:`generate` over the object walk (:meth:`_run_function`).
+
+        The RNG-order oracle for the columnar walk: tests assert both
+        emit the same lookup sequence.  Call it on a fresh generator —
+        the MPKI pilot rescales the branch rates in place.
+        """
+        return self._generate(n_lookups, metadata, fast=False)
+
+    def _generate(
+        self, n_lookups: int, metadata: TraceMetadata | None, fast: bool
+    ) -> Trace:
         if n_lookups <= 0:
             raise ConfigurationError("n_lookups must be positive")
-        fast = trace_fastpath_enabled()
         if self._target_mpki is not None and self._target_mpki > 0:
             with stagetimer.timed("trace_pilot"):
                 for _ in range(2):  # two passes converge well within tolerance

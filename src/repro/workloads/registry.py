@@ -22,7 +22,7 @@ import os
 from collections import OrderedDict
 
 from .. import stagetimer
-from ..core.trace import Trace, TraceMetadata, trace_fastpath_enabled
+from ..core.trace import Trace, TraceMetadata
 from .apps import AppProfile, get_profile
 from .cfg import build_cfg
 from .generator import GENERATOR_VERSION, TraceGenerator
@@ -126,22 +126,18 @@ def get_trace(
         _trace_cache.move_to_end(key)
         _cache_counters["memory_hits"] += 1
         return cached
-    if trace_fastpath_enabled():
-        # Lazy import: artifacts imports this module at top level.
-        from ..harness.artifacts import load_cached_trace
+    # Lazy import: artifacts imports this module at top level.
+    from ..harness.artifacts import load_cached_trace, store_cached_trace
 
-        cached = load_cached_trace(app, input_name, length, GENERATOR_VERSION)
-        if cached is not None:
-            _cache_counters["disk_hits"] += 1
-            _remember(key, cached)
-            return cached
+    cached = load_cached_trace(app, input_name, length, GENERATOR_VERSION)
+    if cached is not None:
+        _cache_counters["disk_hits"] += 1
+        _remember(key, cached)
+        return cached
     cached = build_app_trace(get_profile(app), input_name, length)
     _cache_counters["generated"] += 1
     _remember(key, cached)
-    if trace_fastpath_enabled():
-        from ..harness.artifacts import store_cached_trace
-
-        store_cached_trace(cached, app, input_name, length, GENERATOR_VERSION)
+    store_cached_trace(cached, app, input_name, length, GENERATOR_VERSION)
     return cached
 
 

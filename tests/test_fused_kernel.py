@@ -4,16 +4,16 @@ Every kernel run goes through :func:`repro.frontend.simd_fused.run_group`
 (a solo run is a one-arm group; the prepass in
 :mod:`repro.harness.parallel` hands it multi-arm groups).  It must be
 invisible except for speed and memory: every arm's stats bit-identical
-to the per-arm runs and to the reference loop, the ``REPRO_SIM_FUSE=0``
-escape hatch restoring one-arm runs end-to-end, unsupported mixes and
+to the per-arm runs and to the reference loop, unsupported mixes and
 injected faults rerouting with counted ``sim_fallback:fused:<reason>``
 reasons, and column windows changing nothing but peak memory.
 
 The property suite samples randomized mixed online/offline arm subsets
 (seeded, so failures reproduce) at three trace scales and compares the
-fused batch against the per-arm reference batch field by field.  The
-window-boundary suite shrinks ``STREAM_WINDOW`` so short traces cross
-window edges, and checks that a streamed trace memoizes no columns.
+fused batch against per-arm references field by field: one-request
+batches, which never enter the prepass.  The window-boundary suite
+shrinks ``STREAM_WINDOW`` so short traces cross window edges, and
+checks that a streamed trace memoizes no columns.
 """
 
 from __future__ import annotations
@@ -76,26 +76,34 @@ def _requests(app: str, trace_len: int, arms: tuple[str, ...]):
             for policy in arms]
 
 
-def _run_cold(requests, monkeypatch, *, fuse: bool, **env: str):
-    """One cold serial batch under the given fused-path env knobs."""
+def _run_cold(requests):
+    """One cold serial batch; multi-arm groups take the fused prepass."""
     clear_memory_cache()
-    monkeypatch.setenv("REPRO_SIM_FUSE", "1" if fuse else "0")
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     results, report = run_batch(requests, jobs=1)
     assert all(stats is not None for stats in results)
     return [dataclasses.asdict(stats) for stats in results], report
+
+
+def _run_per_arm(requests):
+    """Cold one-request batches: each arm runs as its own one-arm group."""
+    clear_memory_cache()
+    results = []
+    for request in requests:
+        (stats,), report = run_batch([request], jobs=1)
+        assert stats is not None
+        assert not report.faults.fused
+        results.append(dataclasses.asdict(stats))
+    return results
 
 
 @pytest.mark.parametrize(
     "app,trace_len,arms", CASES,
     ids=[f"{app}-{n}-{'+'.join(a for a in arms)}" for app, n, arms in CASES],
 )
-def test_fused_batch_bit_identity(app, trace_len, arms, monkeypatch):
+def test_fused_batch_bit_identity(app, trace_len, arms):
     requests = _requests(app, trace_len, arms)
-    fused, report = _run_cold(requests, monkeypatch, fuse=True)
-    reference, _ = _run_cold(requests, monkeypatch, fuse=False)
-    assert fused == reference
+    fused, report = _run_cold(requests)
+    assert fused == _run_per_arm(requests)
     unique = len(set(arms))
     if unique >= 2:
         assert report.faults.fused.get("sim_fused:served") == unique
@@ -107,21 +115,14 @@ def test_fused_batch_bit_identity(app, trace_len, arms, monkeypatch):
 def test_streaming_window_matches_monolithic(monkeypatch):
     arms = ("lru", "ghrp", "belady", "furbys", "flack[A]")
     requests = _requests("kafka", 20000, arms)
-    monolithic, _ = _run_cold(requests, monkeypatch, fuse=True)
+    monolithic, _ = _run_cold(requests)
     monkeypatch.setattr(simd_fused, "STREAM_WINDOW", 4096)
-    windowed, report = _run_cold(requests, monkeypatch, fuse=True)
+    windowed, report = _run_cold(requests)
     assert windowed == monolithic
     assert report.faults.fused.get("sim_fused:served") == len(arms)
 
 
-def test_fuse_disabled_restores_per_arm_path(monkeypatch):
-    requests = _requests("kafka", 1000, ("lru", "belady", "furbys"))
-    _, report = _run_cold(requests, monkeypatch, fuse=False)
-    assert not report.faults.fused
-    assert not report.faults.sim_fallbacks
-
-
-def test_ineligible_group_falls_back_with_counted_reason(monkeypatch):
+def test_ineligible_group_falls_back_with_counted_reason():
     # classify_misses forces the reference loop, so the whole group must
     # reroute to the per-arm path with a counted reason — and still
     # produce results.
@@ -130,7 +131,7 @@ def test_ineligible_group_falls_back_with_counted_reason(monkeypatch):
                    classify_misses=True)
         for policy in ("lru", "srrip", "ghrp")
     ]
-    results, report = _run_cold(requests, monkeypatch, fuse=True)
+    results, report = _run_cold(requests)
     assert not report.faults.fused
     assert any(name.startswith("sim_fallback:fused:")
                for name in report.faults.sim_fallbacks)
@@ -139,14 +140,14 @@ def test_ineligible_group_falls_back_with_counted_reason(monkeypatch):
 def test_injected_fused_fault_reroutes_per_arm(monkeypatch, tmp_path):
     arms = ("lru", "ghrp", "belady", "furbys")
     requests = _requests("kafka", 1000, arms)
-    reference, _ = _run_cold(requests, monkeypatch, fuse=False)
+    reference = _run_per_arm(requests)
     import repro.faultinject as faultinject
 
     monkeypatch.setenv("REPRO_FAULT_SPEC", "fused:group:raise")
     monkeypatch.setenv("REPRO_FAULT_STATE", str(tmp_path / "faults"))
     faultinject.reset_plan_cache()
     try:
-        chaos, report = _run_cold(requests, monkeypatch, fuse=True)
+        chaos, report = _run_cold(requests)
     finally:
         monkeypatch.delenv("REPRO_FAULT_SPEC")
         monkeypatch.delenv("REPRO_FAULT_STATE")
@@ -159,9 +160,8 @@ def test_injected_fused_fault_reroutes_per_arm(monkeypatch, tmp_path):
     assert report.faults.skipped == 0 and report.faults.crashed == 0
 
 
-def test_clear_memory_cache_drops_sim_caches(monkeypatch):
-    _run_cold(_requests("kafka", 1000, ("lru", "belady")),
-              monkeypatch, fuse=True)
+def test_clear_memory_cache_drops_sim_caches():
+    _run_cold(_requests("kafka", 1000, ("lru", "belady")))
     assert simd.segment_cache_stats()["entries"] >= 1
     assert simd_offline.segment_cache_stats()["entries"] >= 1
     assert memo_census()["entries"] >= 1

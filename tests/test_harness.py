@@ -435,6 +435,13 @@ class TestCli:
         assert main(["tab1"]) == 0
         assert "Micro-op cache" in capsys.readouterr().out
 
+    def test_bench_without_a_proof_points_to_the_bench_harness(self, capsys):
+        from repro.cli import main
+        assert main(["bench"]) == 2
+        captured = capsys.readouterr()
+        assert "python3 -m bench" in captured.err
+        assert captured.out == ""
+
     def test_trace_len_flag_sets_the_default_trace_length(self, monkeypatch):
         """``--trace-len`` reaches requests that use the default length,
         although the CLI imports the experiments before parsing flags."""

@@ -1,10 +1,9 @@
 """Columnar trace engine: packed columns, the v2 binary format, the
 disk/LRU trace caches, memo-key hygiene and the shared-memory fan-out.
 
-The contract under test is the house fast-path convention: with
-``REPRO_TRACE_FASTPATH=1`` (the default) traces are built and shipped
-columnar, with ``=0`` everything degrades to the reference object path
-— and both produce bit-identical lookup sequences and results.
+Traces are built and shipped columnar; the generator's object walk
+survives as an RNG-order oracle, and both must produce bit-identical
+lookup sequences.
 """
 
 import gc
@@ -199,16 +198,17 @@ def test_load_any_sniffs_format(tmp_path):
 # --- generator fast path ------------------------------------------------------
 
 def test_generator_fastpath_bit_identical(monkeypatch):
-    """REPRO_TRACE_FASTPATH=0 and =1 emit identical traces."""
+    """generate matches the object walk, MPKI pilot included."""
     from repro.workloads.apps import get_profile
+    from repro.workloads.generator import TraceGenerator
     from repro.workloads.registry import build_app_trace
 
-    monkeypatch.setenv("REPRO_TRACE_FASTPATH", "0")
-    reference = build_app_trace(get_profile("kafka"), "default", 3000)
-    assert not reference.has_columns()
-    monkeypatch.setenv("REPRO_TRACE_FASTPATH", "1")
     fast = build_app_trace(get_profile("kafka"), "default", 3000)
     assert fast.has_columns()
+    monkeypatch.setattr(
+        TraceGenerator, "generate", TraceGenerator._generate_reference)
+    reference = build_app_trace(get_profile("kafka"), "default", 3000)
+    assert not reference.has_columns()
     assert fast.lookups == reference.lookups
     assert fast.metadata == reference.metadata
 
