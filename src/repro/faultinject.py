@@ -17,9 +17,6 @@ Spec grammar (``REPRO_FAULT_SPEC``, ``;``-separated faults)::
     artifact:<kind>:corrupt   garble the next <kind>-artifact file read
                               (kind: stats|hitstats|profile|trace|ledger)
     shm:attach:fail           the next worker shared-memory attach fails
-    fused:group:raise         the next arm-fused group sweep raises before
-                              simulating, so the batch reroutes the group
-                              to the per-arm path
     exp:<n>:kill              SIGKILL the experiment process the moment
                               its ledger journal commits result #n — the
                               durable analog of task:crash (the process
@@ -42,9 +39,9 @@ an explicit directory).  :func:`reset` removes the claim files of every
 plan this process has seen, so chaos runs do not leak ``*.fired``
 markers into the temp dir.
 
-Faults only arm inside pool workers, the artifact/shm/fused-sweep
-paths, and the experiment-ledger journal/resume hooks; the plain
-per-arm serial execution path never injects, so a fault-free serial
+Faults only arm inside pool workers, the artifact/shm paths, and the
+experiment-ledger journal/resume hooks; the plain serial execution
+path never injects, so a fault-free serial
 run is always available as the bit-identity reference.
 """
 
@@ -65,7 +62,6 @@ __all__ = [
     "active_plan",
     "maybe_corrupt_artifact",
     "maybe_corrupt_ledger_rows",
-    "maybe_fail_fused_group",
     "maybe_fail_shm_attach",
     "maybe_kill_experiment",
     "on_worker_task",
@@ -114,7 +110,6 @@ def _parse_fault(text: str) -> _Fault:
         "task": ("crash", "hang", "raise"),
         "artifact": ("corrupt",),
         "shm": ("fail",),
-        "fused": ("raise",),
         "exp": ("kill",),
         "ledger": ("corrupt",),
     }
@@ -209,13 +204,6 @@ class FaultPlan:
     def fail_shm_attach(self) -> bool:
         for fault in self.faults:
             if fault.kind == "shm" and fault.action == "fail":
-                if self._claim(fault):
-                    return True
-        return False
-
-    def fail_fused_group(self) -> bool:
-        for fault in self.faults:
-            if fault.kind == "fused" and fault.action == "raise":
                 if self._claim(fault):
                     return True
         return False
@@ -336,13 +324,6 @@ def maybe_fail_shm_attach() -> None:
     plan = active_plan()
     if plan is not None and plan.fail_shm_attach():
         raise FaultInjectionError("injected shared-memory attach failure")
-
-
-def maybe_fail_fused_group() -> None:
-    """Hook: an arm-fused group sweep is about to simulate."""
-    plan = active_plan()
-    if plan is not None and plan.fail_fused_group():
-        raise FaultInjectionError("injected fused group sweep failure")
 
 
 def maybe_kill_experiment(recorded: int) -> None:

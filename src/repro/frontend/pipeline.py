@@ -333,7 +333,7 @@ class FrontendPipeline:
         kinds plus the offline and profile-guided families — Belady,
         FOO/FLACK replay, FURBYS, Thermometer) run the vectorized
         :mod:`repro.frontend.simd` / :mod:`repro.frontend.simd_offline`
-        kernels as a one-arm :func:`repro.frontend.simd_fused.run_group`;
+        kernels through :func:`repro.frontend.simd.run_kernel`;
         everything else runs :meth:`run_reference`, counting the reason
         under a ``sim_fallback:<policy>:<reason>`` fallback counter.
         The kernels are bit-identical to :meth:`run_reference` — see

@@ -15,7 +15,7 @@ The kernel splits the simulation into:
 
 * **array passes** (numpy, once per column window x geometry — a trace
   that fits in one window memoizes it, so all policies in a batch share
-  it; see :mod:`repro.frontend.simd_fused`): set indices, entry sizes,
+  it; see :func:`run_kernel`): set indices, entry sizes,
   icache line spans, legacy-decode cycles, branch extraction, prefix
   sums for per-segment totals, and — for GHRP — the full global history
   sequence (the 20-bit history register is a shift-XOR of the last four
@@ -42,8 +42,8 @@ The offline and profile-guided policy families (Belady, FOO/FLACK
 replay, FURBYS, Thermometer) run through the sibling kernel in
 :mod:`repro.frontend.simd_offline`, which subclasses :class:`_Kernel`
 and swaps the policy-state handling.  Both are driven by
-:func:`repro.frontend.simd_fused.run_group`; :func:`run_kernel` is its
-one-arm call.
+:func:`run_kernel`, the one kernel entry: it advances one pipeline
+through its flag-specialized segment, window by window.
 
 Unsupported configurations (policies without a specialization, miss
 classification, perfect uop cache) run
@@ -59,13 +59,15 @@ from typing import TYPE_CHECKING
 
 import numpy as _np
 
-from ._specialize import compile_flagged
+from .. import stagetimer
+from ._specialize import compile_flagged, gc_paused as _gc_paused
 from ..core.pw import StoredPW
 from ..core.stats import SimulationStats
 from ..core.trace import (
     FLAG_CONTAINS,
     FLAG_MISPREDICTED,
     FLAG_TERMINATED,
+    callable_token,
 )
 from ..policies.ghrp import (
     _BYPASS_THRESHOLD,
@@ -215,16 +217,101 @@ def fallback_reason(pipeline: "FrontendPipeline") -> str | None:
     return None
 
 
+#: Lookups per column window.  A trace of at most this many lookups
+#: memoizes its single window; a longer one streams.  Smaller windows
+#: would make the paper-scale traces stream and rebuild their columns
+#: on every run.
+STREAM_WINDOW = 65536
+
+
+def _window_columns(pipeline: "FrontendPipeline", trace: "Trace",
+                    lo: int, hi: int) -> dict:
+    """Derived columns for lookups ``[lo, hi)`` under this geometry.
+
+    The window that covers the whole trace is memoized on it (keyed by
+    geometry and :func:`~repro.core.trace.callable_token`, and
+    :func:`repro.core.trace.drop_simd_memos` evicts it by its ``"simd"``
+    prefix); any shorter window is built fresh and owned by the caller.
+    """
+    config = pipeline.config
+    uc = config.uop_cache
+    geometry = dict(
+        n_sets=uc.sets,
+        uops_per_entry=uc.uops_per_entry,
+        line_bytes=config.icache.line_bytes,
+        decode_width=config.core.decode_width,
+        btb_n_sets=pipeline.btb._n_sets,
+        ic_n_sets=config.icache.sets,
+        delay=uc.insertion_delay,
+    )
+    set_index_fn = pipeline.uop_cache._set_index
+
+    def build():
+        return _gc_paused(lambda: _build_columns(
+            trace, set_index_fn=set_index_fn, lo=lo, hi=hi, **geometry))
+
+    if hi - lo < len(trace):
+        return build()
+    key = ("simd", *geometry.values(), callable_token(set_index_fn))
+    return trace.memo(key, build)
+
+
 def run_kernel(pipeline: "FrontendPipeline", trace: "Trace",
                warmup: int) -> SimulationStats:
-    """Simulate ``trace`` on ``pipeline``: a one-arm kernel group.
+    """Simulate ``trace`` on ``pipeline`` over column windows.
 
-    The caller (``FrontendPipeline.run``) checks
-    :func:`fallback_reason` first.
+    The caller (``FrontendPipeline.run``) checks :func:`fallback_reason`
+    first.  Returns the finalized :class:`SimulationStats`,
+    bit-identical to :meth:`FrontendPipeline.run_reference`.
+
+    Columns come from one windowed source, sized by
+    :data:`STREAM_WINDOW`: a trace of at most that many lookups builds
+    its single window once and memoizes it on the trace, so every later
+    run over that trace and geometry shares it; a longer trace streams
+    its windows (each built on demand and released before the next) and
+    memoizes nothing, so peak memory stays flat in the trace length.
     """
-    from .simd_fused import run_group
+    from .simd_offline import _OfflineKernel
 
-    return run_group([pipeline], trace, warmup)[0]
+    with stagetimer.timed("sim_kernel"):
+        n = len(trace)
+        window = STREAM_WINDOW
+        # Warmup discards the counters once, at the warmup lookup; a
+        # warmup covering the whole trace discards nothing (as in the
+        # reference loop).
+        reset_at = warmup if 0 < warmup < n else -1
+
+        offline = kernel_kind(pipeline.policy) is None
+        kernel = (_OfflineKernel if offline else _Kernel)(
+            pipeline, _window_columns(pipeline, trace, 0, min(n, window)), n)
+        if offline:
+            kernel._bind_specialized()
+        spec = kernel._specialized()
+        segment = spec.__get__(kernel) if spec is not None else kernel._segment
+
+        def advance():
+            for lo in range(0, max(n, 1), window):
+                hi = min(n, lo + window)
+                if lo:
+                    # Release the finished window before building the
+                    # next one, so only one is ever live.
+                    kernel.cols = kernel.hist = None
+                    kernel._bind_columns(
+                        _window_columns(pipeline, trace, lo, hi))
+                cuts = [lo, reset_at, hi] if lo < reset_at < hi else [lo, hi]
+                for begin, end in zip(cuts, cuts[1:]):
+                    segment(begin, end)
+                    if end == reset_at:
+                        pipeline.stats = SimulationStats()
+            kernel._drain(n)
+
+        # The working set is acyclic (columns of ints/tuples plus flat
+        # list records), so the cyclic collector can only cost time
+        # here: every gen-2 pass re-scans the column pointers while the
+        # loop's record churn keeps triggering collections.
+        _gc_paused(advance)
+        kernel._sync_back()
+        return pipeline._finalize(n)
 
 
 # --- derived columns ----------------------------------------------------------
@@ -237,8 +324,8 @@ def _build_columns(trace: "Trace", *, n_sets: int, uops_per_entry: int,
     """Derived columns for the lookup window ``[lo, hi)``.
 
     The default (``lo=0``, ``hi=None``) builds the full trace;
-    :func:`repro.frontend.simd_fused.run_group` builds one window per
-    :data:`~repro.frontend.simd_fused.STREAM_WINDOW` lookups.  Window reads
+    :func:`run_kernel` builds one window per :data:`STREAM_WINDOW`
+    lookups.  Window reads
     are indexed relative to the returned ``base``: completions trail the
     window start by up to the insertion delay and the GHRP signature
     looks up to ``delay`` lookups ahead, so the materialized slice is
@@ -1590,9 +1677,9 @@ _spec_template: list[str] = []
 def _compile_segment(flags: dict) -> object:
     """Compile ``_Kernel._segment`` with run-constant flags baked in.
 
-    Delegates the source transformation and the marshal disk cache to
-    :mod:`repro.frontend._specialize`; any failure falls back to the
-    generic loop.
+    Delegates the source transformation to
+    :mod:`repro.frontend._specialize` and compiles in-process; any
+    failure falls back to the generic loop.
     """
     return compile_flagged(
         _Kernel._segment, _SPEC_NAMES, flags, new_name="_segment_spec",

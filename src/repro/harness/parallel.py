@@ -18,14 +18,11 @@ list to :func:`run_many` instead of looping over ``run()``:
 4. **write-back** — worker results are stored into both cache layers in
    the parent, so memoization semantics are unchanged.
 
-Before any cold request runs per-arm, the **arm-fused prepass**
-(:func:`_fused_prepass` — in the parent for ``jobs=1``, per chunk in
-the workers otherwise) groups requests that share a trace and geometry
-and advances all of their policy arms in one
-:func:`repro.frontend.simd_fused.run_group` sweep, bit-identical to
-the per-arm kernels.  Ineligible arms and failed groups reroute to
-the per-arm path with a ``sim_fallback:fused:<reason>`` counter, and
-served work is counted under ``sim_fused:*`` in the batch report.
+Every cold request then has one path: :func:`~repro.harness.runner.run`
+builds its pipeline and :meth:`~repro.frontend.pipeline.FrontendPipeline.run`
+simulates it — through :func:`repro.frontend.simd.run_kernel`, or the
+reference loop for the shapes no kernel serves — serially in the parent
+for ``jobs=1``, otherwise in a pool worker.
 
 Within each worker the shared offline-artifact store
 (:mod:`repro.harness.artifacts`) collapses the per-policy offline work
@@ -87,11 +84,10 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .. import faultinject, stagetimer
+from .. import faultinject
 from ..core.stats import SimulationStats
 from ..core.trace import Trace, TraceColumns, TraceMetadata
 from ..errors import FaultInjectionError, ReproError, TraceError
-from ..frontend import simd_fused
 from . import resilience
 from .ledger import active_journal
 from .resilience import FaultReport, RetryPolicy
@@ -154,13 +150,27 @@ class BatchExecutionError(RuntimeError):
         self.attempts = attempts
 
 
+def _env_number(name: str, parse):
+    """``parse`` of env var ``name``, None when unset or blank.
+
+    A malformed value raises :class:`ReproError` naming the variable.
+    """
+    env = os.environ.get(name, "").strip()
+    if not env:
+        return None
+    try:
+        return parse(env)
+    except ValueError:
+        raise ReproError(
+            f"{name}={env!r} is not a valid {parse.__name__}"
+        ) from None
+
+
 def resolve_jobs(jobs: int | None = None) -> int:
     """Worker count: explicit arg, else ``REPRO_JOBS``, else cpu count."""
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if env:
-            jobs = int(env)
-        else:
+        jobs = _env_number("REPRO_JOBS", int)
+        if jobs is None:
             jobs = os.cpu_count() or 1
     return max(1, int(jobs))
 
@@ -179,9 +189,7 @@ def resolve_on_error(on_error: str | None = None) -> str:
 def _resolve_timeout(timeout_s: float | None) -> float | None:
     """Per-chunk timeout: explicit arg, else ``REPRO_TIMEOUT_S``, else off."""
     if timeout_s is None:
-        env = os.environ.get("REPRO_TIMEOUT_S", "").strip()
-        if env:
-            timeout_s = float(env)
+        timeout_s = _env_number("REPRO_TIMEOUT_S", float)
     if timeout_s is not None and timeout_s <= 0:
         return None
     return timeout_s
@@ -317,120 +325,6 @@ def _attach_traces(descriptors: TraceDescriptors) -> None:
         seed_trace_cache(app, input_name, trace_len, trace)
 
 
-# --- arm-fused group prepass --------------------------------------------------
-
-
-def _fused_group_key(request: RunRequest) -> tuple:
-    """Group identity for the fused sweep: everything but the policy.
-
-    Requests that agree on all of these share one trace, one config and
-    one warmup split, which is exactly what
-    :func:`repro.frontend.simd_fused.run_group` requires; the policy
-    and its profile inputs may differ freely between arms.
-    """
-    return (
-        request.app, request.input_name, request.config, request.perfect,
-        request.cache_entries, request.cache_ways, request.insertion_delay,
-        request.inclusive, request.keep_larger, request.classify_misses,
-        request.resolved_trace_len(), request.resolved_warmup(),
-    )
-
-
-def _run_fused_group(group, results):
-    """Try one geometry-uniform group fused; return the unserved pairs.
-
-    Never raises: any failure — an unsupported arm mix, an injected
-    fault, a genuine simulation error — reroutes the whole group to the
-    established per-arm path (which re-raises real errors under its own
-    retry semantics), counted as ``sim_fallback:fused:<reason>``.
-    """
-    from ..frontend.pipeline import FrontendPipeline
-    from ..frontend.simd import fallback_reason
-    from ..policies import make_policy
-    from ..workloads.registry import get_trace
-    from .runner import _build_policy_and_hints
-
-    first = group[0][1]
-    remaining = []
-    try:
-        config = first.build_config()
-        trace = get_trace(
-            first.app, first.input_name, first.resolved_trace_len()
-        )
-        # Probe config-level eligibility with a throwaway LRU pipeline
-        # before paying any offline-policy solves for the group.
-        probe = FrontendPipeline(
-            config, make_policy("lru"), classify_misses=first.classify_misses
-        )
-        reason = fallback_reason(probe)
-        if reason is not None:
-            resilience.note_fallback(f"sim_fallback:fused:{reason}")
-            return group
-        eligible = []
-        pipelines = []
-        for key, request in group:
-            policy, hints = _build_policy_and_hints(request, config, trace)
-            pipeline = FrontendPipeline(
-                config, policy, hints=hints,
-                classify_misses=request.classify_misses,
-            )
-            arm_reason = fallback_reason(pipeline)
-            if arm_reason is None:
-                eligible.append((key, request))
-                pipelines.append(pipeline)
-            else:
-                resilience.note_fallback(f"sim_fallback:fused:{arm_reason}")
-                remaining.append((key, request))
-        if len(eligible) < 2:
-            return group
-        faultinject.maybe_fail_fused_group()
-        with stagetimer.timed("frontend_sim"):
-            stats_list = simd_fused.run_group(
-                pipelines, trace, first.resolved_warmup()
-            )
-    except simd_fused.FusedUnsupported as exc:
-        resilience.note_fallback(f"sim_fallback:fused:{exc.reason}")
-        return group
-    except Exception:
-        resilience.note_fallback("sim_fallback:fused:error")
-        return group
-    for (key, request), stats in zip(eligible, stats_list):
-        store_stats(request, stats, key)
-        if results is not None:
-            results[key] = stats
-    resilience.note_fallback("sim_fused:groups")
-    resilience.note_fallback("sim_fused:served", len(eligible))
-    return remaining
-
-
-def _fused_prepass(
-    cold: list[tuple[str, RunRequest]],
-    results: dict[str, SimulationStats | None] | None = None,
-) -> list[tuple[str, RunRequest]]:
-    """Serve multi-arm groups of cold requests via the fused sweep.
-
-    Requests sharing a trace and geometry (policies free to differ)
-    advance together through one
-    :func:`repro.frontend.simd_fused.run_group` pass; results land in
-    both cache layers exactly as the per-arm path writes them, and in
-    ``results`` when given.  Returns the pairs the sweep did not serve
-    — singleton groups, ineligible arms, or whole groups whose fused
-    run failed — preserving the original submission order.
-    """
-    if len(cold) < 2:
-        return cold
-    groups: dict[tuple, list[tuple[str, RunRequest]]] = {}
-    for pair in cold:
-        groups.setdefault(_fused_group_key(pair[1]), []).append(pair)
-    unserved: set[str] = set()
-    for group in groups.values():
-        if len(group) < 2:
-            unserved.update(key for key, _ in group)
-        else:
-            unserved.update(key for key, _ in _run_fused_group(group, results))
-    return [pair for pair in cold if pair[0] in unserved]
-
-
 def _simulate_chunk(
     requests: list[RunRequest],
     trace_descriptors: TraceDescriptors | None = None,
@@ -462,16 +356,6 @@ def _simulate_chunk(
             resilience.note_fallback("shm_attach")
     if task_indices is None:
         task_indices = list(range(len(requests)))
-    # Arm-fused prepass: requests of this chunk that share a trace and
-    # geometry advance together; the per-request loop below then serves
-    # them from the memory cache (keeping per-task fault injection and
-    # error shipping exactly where they were).
-    pairs = []
-    for request in requests:
-        key = request.cache_key()
-        if cached_stats(request, key) is None:
-            pairs.append((key, request))
-    _fused_prepass(pairs)
     out: list[tuple[str, object]] = []
     for index, request in zip(task_indices, requests):
         try:
@@ -869,18 +753,9 @@ def run_batch(
         journal.commit()
 
     # 3. execute the cold remainder (serial fallback or process fan-out),
-    # 4. writing worker results back into both cache layers here.  The
-    # serial path runs the arm-fused prepass in the parent; pool workers
-    # run it per chunk inside _simulate_chunk.
+    # 4. writing worker results back into both cache layers here.
     if cold and jobs == 1:
-        cold = _fused_prepass(cold, results)
-        if journal is not None:
-            for key, stats in results.items():
-                if stats is not None:
-                    journal.record(key, unique[key], stats)
-            journal.commit()
-        if cold:
-            _run_serial(cold, report, on_error, retry_policy, results, journal)
+        _run_serial(cold, report, on_error, retry_policy, results, journal)
     elif cold:
         _PoolExecutor(
             cold, jobs, report, on_error, retry_policy, timeout_s, results,

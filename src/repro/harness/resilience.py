@@ -139,9 +139,6 @@ class FaultReport:
     #: (the results are bit-identical, only slower), so excluded from
     #: :attr:`total_faults`.
     sim_fallbacks: dict = field(default_factory=dict)
-    #: ``sim_fused:<what>`` -> count: requests/groups served by the
-    #: arm-fused sweep (informational; bit-identical, only faster).
-    fused: dict = field(default_factory=dict)
     #: ``note:<what>`` -> count: observability notes that are not
     #: degradations (a legacy cache entry upgraded in place, a stale
     #: RUNNING experiment taken over); excluded from :attr:`total_faults`.
@@ -160,8 +157,6 @@ class FaultReport:
                 self.sim_fallbacks[name] = (
                     self.sim_fallbacks.get(name, 0) + count
                 )
-            elif name.startswith("sim_fused:"):
-                self.fused[name] = self.fused.get(name, 0) + count
             elif name.startswith("note:"):
                 self.notes[name] = self.notes.get(name, 0) + count
             else:
@@ -189,12 +184,7 @@ class FaultReport:
 #   corrupt_artifact  a disk artifact failed validation (quarantined)
 #   sim_fallback:<policy>:<reason>
 #                   a simulation ran the reference loop instead of a
-#                   vectorized kernel (bit-identical, only slower);
-#                   <policy> is "fused" when an arm-fused group sweep
-#                   rerouted to the per-arm path
-#   sim_fused:served / sim_fused:groups
-#                   requests / groups the arm-fused sweep completed
-#                   (bit-identical, only faster)
+#                   vectorized kernel (bit-identical, only slower)
 #   ledger_write    an experiment-ledger write failed (the run proceeds,
 #                   that chunk is simply not journaled)
 #   note:cache_upgraded

@@ -8,6 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.errors import ReproError
 from repro.harness import parallel
 from repro.harness.parallel import (
     BatchExecutionError,
@@ -50,6 +51,26 @@ class TestResolveJobs:
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert resolve_jobs() >= 1
         assert resolve_jobs(0) == 1
+
+    def test_env_zero_clamps_to_one(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert resolve_jobs() == 1
+
+    @pytest.mark.parametrize("name,value,resolve", [
+        ("REPRO_JOBS", "two", resolve_jobs),
+        ("REPRO_JOBS", "1.5", resolve_jobs),
+        ("REPRO_TIMEOUT_S", "soon", parallel._resolve_timeout),
+        ("REPRO_TIMEOUT_S", "30s", parallel._resolve_timeout),
+    ], ids=["jobs-word", "jobs-float", "timeout-word", "timeout-unit"])
+    def test_malformed_env_names_the_variable(self, monkeypatch, name,
+                                              value, resolve):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ReproError, match=name):
+            resolve(None)
+
+    def test_env_timeout(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TIMEOUT_S", " 2.5 ")
+        assert parallel._resolve_timeout(None) == 2.5
 
 
 class TestSerialPath:
