@@ -1,21 +1,18 @@
-"""Shared infrastructure for the specialized simulation kernels.
+"""Shared infrastructure for the specialized simulation kernel.
 
-Both vectorized kernels (:mod:`repro.frontend.simd` for the online
-policies, :mod:`repro.frontend.simd_offline` for the offline and
-profile-guided families) lean on the same two mechanisms:
+The vectorized kernel (:mod:`repro.frontend.simd`) leans on two
+mechanisms:
 
 * :func:`gc_paused` — run a column-building pass with the cyclic
   collector paused (the builds materialize millions of tracked
   containers at once; generation scans over live survivors would turn
   an O(n) build into something closer to O(n^2 / threshold));
 * :func:`compile_flagged` — derive a specialized variant of a generic
-  segment method by baking run-constant boolean flags in as literals,
-  so the bytecode compiler drops every dead cross-kind branch.  Each
-  variant compiles in-process (~25ms) once per flag combination and
-  lives in its kernel module's segment cache.
-
-Keeping them here means the offline specializations reuse — rather
-than copy — the machinery the online kernel established.
+  kernel method (the ``_segment`` loop or the ``_attempt`` insertion)
+  by baking run-constant boolean flags in as literals, so the bytecode
+  compiler drops every dead cross-kind branch.  Each variant compiles
+  in-process once per flag combination and lives in the kernel
+  module's variant cache.
 """
 
 from __future__ import annotations
@@ -55,6 +52,12 @@ def compile_flagged(method, spec_names, flags: dict, *, new_name: str,
     derived from its source at first use and behave identically.
     ``template`` is the caller's one-element source cache (the
     ``inspect.getsource`` extraction is paid once per process).
+
+    Each flag must be assigned on one ``name = ...`` line of the
+    method; a flag without one raises :class:`ValueError` (a misspelt
+    or stale flag name would otherwise be silently ignored).
+    Only bare names are substituted: an attribute access such as
+    ``self.name`` keeps its name.
     """
     import inspect
     import re
@@ -64,12 +67,17 @@ def compile_flagged(method, spec_names, flags: dict, *, new_name: str,
         template.append(textwrap.dedent(inspect.getsource(method)))
     src = template[0]
     # Drop the flag assignments first (they would otherwise turn into
-    # assignments *to* a literal), then substitute the bare names.
+    # assignments *to* a literal), then substitute the bare names in
+    # one pass (a pass per name costs more than the compile itself).
     for name in spec_names:
-        src = re.sub(rf"^[ \t]*{name} = .*\n", "", src, count=1,
-                     flags=re.MULTILINE)
-    for name in spec_names:
-        src = re.sub(rf"\b{name}\b", repr(bool(flags[name])), src)
+        src, found = re.subn(rf"^[ \t]*{name} = .*\n", "", src, count=1,
+                             flags=re.MULTILINE)
+        if not found:
+            raise ValueError(
+                f"{method.__qualname__} has no '{name} = ...' line")
+    literals = {name: repr(bool(flags[name])) for name in spec_names}
+    bare = re.compile(rf"(?<![\w.])({'|'.join(spec_names)})\b")
+    src = bare.sub(lambda m: literals[m.group(1)], src)
     src = src.replace(f"def {method.__name__}(", f"def {new_name}(", 1)
     ns = dict(namespace)
     exec(compile(src, f"<simd-specialized-{prefix}>", "exec"), ns)

@@ -331,12 +331,12 @@ class FrontendPipeline:
 
         Supported configurations (the online LRU/SRRIP/random/GHRP
         kinds plus the offline and profile-guided families — Belady,
-        FOO/FLACK replay, FURBYS, Thermometer) run the vectorized
-        :mod:`repro.frontend.simd` / :mod:`repro.frontend.simd_offline`
-        kernels through :func:`repro.frontend.simd.run_kernel`;
+        FOO/FLACK replay, FURBYS, Thermometer — with or without per-PW
+        hit-rate recording) run the vectorized :mod:`repro.frontend.simd`
+        kernel through :func:`repro.frontend.simd.run_kernel`;
         everything else runs :meth:`run_reference`, counting the reason
         under a ``sim_fallback:<policy>:<reason>`` fallback counter.
-        The kernels are bit-identical to :meth:`run_reference` — see
+        The kernel is bit-identical to :meth:`run_reference` — see
         ``tests/test_golden_stats.py``, ``tests/test_sim_kernel.py``
         and ``tests/test_offline_kernel.py``.
         """

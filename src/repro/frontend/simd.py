@@ -11,6 +11,23 @@ precomputed for the whole trace in numpy array passes directly from
 :class:`~repro.core.trace.TraceColumns` — no ``PWLookup`` objects are
 materialized at all.
 
+The same kernel serves the offline and profile-guided families — the
+paper's headline arms.  **Belady** and the **FOO/FLACK replay family**
+make their decisions by bisect queries into the shared columnar future
+index (:class:`~repro.offline.future.ColumnarFutureIndex`): ``occ_list``
+and ``span`` are bound once and queried directly on the cold
+(insertion) path, exactly the computation the reference ``_score`` /
+``next_use`` methods perform.  Each of their resident records caches
+its occurrence bracket ``[idx, lo, hi]`` in the aux slot: a query is
+valid iff ``occ[idx-1] <= after < occ[idx]``, which replaces the
+per-candidate tuple-key hash, span lookup and bisect with two list
+compares (the bisect only reruns when the cached next use actually went
+by — at most once per occurrence).  Plan mode additionally reads the
+precomputed admission bytearray.  **FURBYS / Thermometer** use static
+per-PW hints and classes; their hit path is the same probe-and-stamp
+as LRU, with the live policy dicts (``_last_use``, RRPV table, pitfall
+detector) mirrored in event order.
+
 The kernel splits the simulation into:
 
 * **array passes** (numpy, once per column window x geometry — a trace
@@ -24,26 +41,33 @@ The kernel splits the simulation into:
   only (the BTB is independent of micro-op cache state, so its LRU
   updates batch into one tight loop over precomputed branch PCs);
 * a **stamp-based main loop** over ``(now, start, uops)`` triples whose
-  hit path is one dict probe plus a recency stamp, and whose
-  miss/insertion path inlines the storage layer (per-set resident
-  dicts, the line reverse map, per-policy victim ranking) without
-  allocating ``StoredPW``/``InsertionRequest`` objects.
+  hit path is one dict probe plus a recency stamp (and, with
+  ``record_hit_rates=True``, a live mirror of ``pipeline.pw_hit_stats``),
+  and whose miss/insertion path works on the storage layer directly
+  (per-set resident dicts, the line reverse map, per-policy victim
+  ranking) without allocating ``StoredPW``/``InsertionRequest``
+  objects.  The online kinds inline the insertion attempt into the
+  loop; the offline kinds call :meth:`_Kernel._attempt`, whose cost is
+  the ranking sorts and bisects, not the call.
+
+There is one :class:`_Kernel` with one ``_segment`` and one ``_attempt``
+template for all nine kinds.  Each run executes variants compiled with
+its run-constant flags baked in (:func:`_specialized`), so no
+cross-kind branch is left in the hot loop.
 
 Bit-identity: the kernel replicates the reference event order exactly —
 insertion completions before the policy's lookup hook, bypass
 consultation before victim ranking, inclusive invalidations in
-line-map set order — and mutates the *live* policy dicts (LRU/SRRIP
-recency and RRPV maps, GHRP tables/signatures, the random policy's
-RNG), so every ``SimulationStats`` field matches the reference loop;
-``tests/test_sim_kernel.py`` sweeps geometries, policies and trace
-lengths against :meth:`FrontendPipeline.run_reference`.
-
-The offline and profile-guided policy families (Belady, FOO/FLACK
-replay, FURBYS, Thermometer) run through the sibling kernel in
-:mod:`repro.frontend.simd_offline`, which subclasses :class:`_Kernel`
-and swaps the policy-state handling.  Both are driven by
-:func:`run_kernel`, the one kernel entry: it advances one pipeline
-through its flag-specialized segment, window by window.
+line-map set order — and ends with the reference's policy state: the
+online kinds keep recency/RRPV/GHRP state in the resident records and
+rebuild the policy dicts before the drain, the offline kinds mutate
+the *live* policy dicts throughout (their state is keyed by start and
+touched once per event, so mirroring costs what the records would).
+``tests/test_sim_kernel.py`` and ``tests/test_offline_kernel.py`` sweep
+geometries, policies and trace lengths against
+:meth:`FrontendPipeline.run_reference`.  :func:`run_kernel` is the one
+kernel entry: it advances one pipeline through its flag-specialized
+segment, window by window.
 
 Unsupported configurations (policies without a specialization, miss
 classification, perfect uop cache) run
@@ -54,6 +78,7 @@ reason) by the ``sim_fallback:*`` resilience counters — see
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import TYPE_CHECKING
 
@@ -69,6 +94,13 @@ from ..core.trace import (
     FLAG_TERMINATED,
     callable_token,
 )
+from ..offline.base import OfflineReplayPolicy
+from ..offline.belady import BeladyPolicy
+from ..offline.flack import FLACKPolicy
+from ..offline.foo import FOOPolicy
+from ..offline.future import NEVER as _NEVER
+from ..offline.intervals import IdentityMode
+from ..policies.furbys import FurbysPolicy
 from ..policies.ghrp import (
     _BYPASS_THRESHOLD,
     _DEAD_THRESHOLD,
@@ -78,6 +110,7 @@ from ..policies.ghrp import (
 from ..policies.lru import LRUPolicy
 from ..policies.random_policy import RandomPolicy
 from ..policies.srrip import RRPV_HIT, RRPV_INSERT, RRPV_MAX, SRRIPPolicy
+from ..policies.thermometer import COLD, HOT, ThermometerPolicy
 from ..uopcache.cache import default_set_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,6 +118,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pipeline import FrontendPipeline
 
 _MASK12 = _TABLE_SIZE - 1
+_INF = float("inf")
 
 
 def _inline_shuffle_matches_stdlib() -> bool:
@@ -128,7 +162,10 @@ _INLINE_SHUFFLE = _inline_shuffle_matches_stdlib()
 # see _rebuild_policy_dicts), so the hot loop never touches a policy
 # dict.  _LU is the last-use stamp, _AUX the raw RRPV (SRRIP; the
 # per-set aging offset makes raw order == absolute order).  GHRP
-# records extend the layout with four trailing slots.
+# records extend the layout with four trailing slots.  The offline
+# kinds keep their policy dicts live instead; FURBYS/Thermometer rank
+# by the _LU stamp, and Belady/replay cache the occurrence bracket
+# ``[idx, lo, hi]`` in _AUX.
 (_UOPS, _SIZE, _SET, _INSTS, _BYTES, _WEIGHT, _LINE0, _LINE1,
  _LU, _AUX, _REUSED) = range(11)
 #: GHRP record tail: flattened predictor table indices (i0/i1/i2, or
@@ -145,6 +182,8 @@ def kernel_kind(policy: object) -> str | None:
 
     Exact-type checks on purpose: a subclass may override hooks the
     kernel inlines, which would silently diverge from the reference.
+    (FOO/FLACK only override ``__init__`` of
+    :class:`OfflineReplayPolicy`, so they share its specializations.)
     """
     tp = type(policy)
     if tp is LRUPolicy:
@@ -155,24 +194,6 @@ def kernel_kind(policy: object) -> str | None:
         return "random"
     if tp is GHRPPolicy:
         return "ghrp"
-    return None
-
-
-def offline_kernel_kind(policy: object) -> str | None:
-    """The offline-kernel specialization for ``policy``, or None.
-
-    Exact-type checks, like :func:`kernel_kind` (FOO/FLACK only
-    override ``__init__`` of :class:`OfflineReplayPolicy`, so they
-    share its specializations).
-    """
-    from ..offline.base import OfflineReplayPolicy
-    from ..offline.belady import BeladyPolicy
-    from ..offline.flack import FLACKPolicy
-    from ..offline.foo import FOOPolicy
-    from ..policies.furbys import FurbysPolicy
-    from ..policies.thermometer import ThermometerPolicy
-
-    tp = type(policy)
     if tp is BeladyPolicy:
         return "belady"
     if tp in (OfflineReplayPolicy, FOOPolicy, FLACKPolicy):
@@ -184,6 +205,10 @@ def offline_kernel_kind(policy: object) -> str | None:
     return None
 
 
+#: The kinds whose insertion attempt the segment loop inlines.
+_ONLINE_KINDS = ("lru", "srrip", "random", "ghrp")
+
+
 def fallback_reason(pipeline: "FrontendPipeline") -> str | None:
     """Why this pipeline cannot run through a kernel (None = it can).
 
@@ -191,18 +216,10 @@ def fallback_reason(pipeline: "FrontendPipeline") -> str | None:
     resilience counters, so they are short stable identifiers rather
     than prose.
     """
-    kind = kernel_kind(pipeline.policy)
-    offline_kind = None if kind is not None \
-        else offline_kernel_kind(pipeline.policy)
-    if kind is None and offline_kind is None:
+    if kernel_kind(pipeline.policy) is None:
         return "unsupported_policy"
     if pipeline._classifier is not None:
         return "miss_classifier"
-    if pipeline.pw_hit_stats is not None and offline_kind is None:
-        # Per-PW hit-rate recording is implemented by the offline
-        # kernel (the profiling replay needs it); the online kinds
-        # still fall back.
-        return "pw_hit_stats"
     if pipeline.config.perfect_uop_cache:
         return "perfect_uop_cache"
     # A pipeline that already streamed lookups (manual step() calls)
@@ -271,8 +288,6 @@ def run_kernel(pipeline: "FrontendPipeline", trace: "Trace",
     its windows (each built on demand and released before the next) and
     memoizes nothing, so peak memory stays flat in the trace length.
     """
-    from .simd_offline import _OfflineKernel
-
     with stagetimer.timed("sim_kernel"):
         n = len(trace)
         window = STREAM_WINDOW
@@ -281,13 +296,9 @@ def run_kernel(pipeline: "FrontendPipeline", trace: "Trace",
         # reference loop).
         reset_at = warmup if 0 < warmup < n else -1
 
-        offline = kernel_kind(pipeline.policy) is None
-        kernel = (_OfflineKernel if offline else _Kernel)(
+        kernel = _Kernel(
             pipeline, _window_columns(pipeline, trace, 0, min(n, window)), n)
-        if offline:
-            kernel._bind_specialized()
-        spec = kernel._specialized()
-        segment = spec.__get__(kernel) if spec is not None else kernel._segment
+        segment = kernel.segment_fn.__get__(kernel)
 
         def advance():
             for lo in range(0, max(n, 1), window):
@@ -518,6 +529,54 @@ class _Kernel:
             self.rng_shuffle = policy._rng.shuffle
             self.rng_getrandbits = policy._rng.getrandbits
 
+        # Live offline policy dicts.  Unused kinds get empty
+        # placeholders so the segment's unconditional alias hoists stay
+        # valid under specialization.
+        self.interval_start: dict[int, int] = {}
+        self.pending_lookup_t: dict[int, int] = {}
+        self.o_last_use: dict[int, int] = {}
+        self.o_rrpv: dict[int, int] = {}
+        self.classes_get = self.interval_start.get
+        self.occ: list[int] = []
+        self.span_get = self.interval_start.get
+        self.admit = b""
+        self.n_admit = 0
+        self.start_identity = False
+        self.async_aware = False
+        self.metric_mode = 0
+        if kind in ("plan", "greedy"):
+            self.interval_start = policy._interval_start
+            self.pending_lookup_t = policy._pending_lookup_t
+            self.occ = policy._occ
+            self.span_get = policy._span.get
+            self.start_identity = policy._identity is IdentityMode.START
+            self.async_aware = policy._async_aware
+            self.metric_mode = policy._metric_mode
+            if kind == "plan":
+                self.admit = policy.plan._admit_from
+                self.n_admit = len(self.admit)
+        elif kind == "belady":
+            self.occ = policy.future.occ_list
+            self.span_get = policy.future.span.get
+        elif kind == "furbys":
+            self.o_last_use = policy._last_use
+            self.o_rrpv = policy.rrpv._rrpv
+            self.f_bypass_enabled = policy._bypass_enabled
+            self.f_bypass_floor = policy._bypass_floor
+            self.f_bypass_margin = policy._bypass_margin
+            self.f_pitfall_depth = policy._pitfall_depth
+            # Bound method: the detector lazily creates per-set deques
+            # in the policy's _pitfall dict, which is itself compared
+            # state — let the policy maintain it.
+            self.f_detector = policy._detector
+        elif kind == "thermometer":
+            self.o_last_use = policy._last_use
+            self.classes_get = policy._classes.get
+
+        phs = pipeline.pw_hit_stats
+        self.has_phs = phs is not None
+        self.phs: dict[int, list[int]] = phs if phs is not None else {}
+
         # Kernel-side storage mirrors (synced back to the real objects
         # at the end of the run), seeded from current cache contents so
         # back-to-back runs on one pipeline keep their state.
@@ -597,6 +656,19 @@ class _Kernel:
         self.st_evictions = 0
         self.st_evicted_entries = 0
 
+        # The flag-specialized variants this run executes, or the
+        # generic templates if compilation is unavailable.  Kept as
+        # plain functions (called with the kernel as first argument):
+        # a bound method stored on the kernel would make it a cycle.
+        # The online kinds call _attempt only from the drain, a few
+        # times per run, so they skip its compile.
+        flags = self._spec_flags()
+        self.segment_fn = (_specialized("_segment", flags)
+                           or _Kernel._segment)
+        attempt = (None if kind in _ONLINE_KINDS
+                   else _specialized("_attempt", flags))
+        self.attempt_fn = attempt or _Kernel._attempt
+
     # --- orchestration -------------------------------------------------------
 
     def _bind_columns(self, columns: dict) -> None:
@@ -607,23 +679,32 @@ class _Kernel:
         self.hist = columns["hist"]
 
     def _spec_flags(self) -> dict:
-        """Run-constant flags the specialized segment bakes in."""
+        """Run-constant flags the specialized variants bake in."""
         kind = self.kind
         return {
             "is_lru": kind == "lru",
             "is_srrip": kind == "srrip",
             "is_ghrp": kind == "ghrp",
-            "track_lu": kind in ("lru", "srrip"),
+            "is_belady": kind == "belady",
+            "is_plan": kind == "plan",
+            "is_greedy": kind == "greedy",
+            "is_replay": kind in ("plan", "greedy"),
+            "is_furbys": kind == "furbys",
+            "is_thermo": kind == "thermometer",
+            "rec_stamps": kind in ("lru", "srrip"),
+            "dict_stamps": kind in ("furbys", "thermometer"),
+            "inline_attempt": kind in _ONLINE_KINDS,
+            "has_phs": self.has_phs,
+            "start_identity": self.start_identity,
+            "async_aware": self.async_aware,
+            "metric0": self.metric_mode == 0,
+            "metric1": self.metric_mode == 1,
             "keep_larger": self.keep_larger,
             "has_hints": bool(self.pipeline.accumulator._hints),
             "perfect_icache": self.pipeline.config.perfect_icache,
             "inclusive": self.inclusive,
             "inline_shuffle": _INLINE_SHUFFLE,
         }
-
-    def _specialized(self):
-        """Compiled flag-specialized segment variant (None on failure)."""
-        return _specialized_segment(self._spec_flags())
 
     def _rebuild_policy_dicts(self) -> None:
         """Refill the live policy dicts from the resident records.
@@ -634,10 +715,12 @@ class _Kernel:
         iterates in exact reference insertion order — pre-run survivors
         first, then surviving inserts chronologically (an upgrade or a
         re-insert after eviction re-appends, in both engines) — so key
-        order, not just content, matches the reference dicts.
+        order, not just content, matches the reference dicts.  The
+        offline kinds mirror their dicts live, and random keeps no
+        per-PW state, so they have nothing to rebuild.
         """
         kind = self.kind
-        if kind == "random":
+        if kind not in ("lru", "srrip", "ghrp"):
             return
         lu = self.lu
         lu.clear()
@@ -680,6 +763,7 @@ class _Kernel:
         in_flight = self.in_flight
         starts_l = self.cols["starts"]
         delay = self.delay
+        attempt = self.attempt_fn
         # Pending entries are scheduling indices: due = m + delay and
         # start = starts[m] are both derivable, so nothing else is stored.
         while pending and pending[0] + delay <= now:
@@ -687,7 +771,7 @@ class _Kernel:
             request = in_flight.pop(start, None)
             if request is None:
                 continue
-            self._attempt(now, start, request)
+            attempt(self, now, start, request)
         stats = self.pipeline.stats
         stats.insertion_attempts += self.st_attempts
         stats.insertions += self.st_insertions
@@ -765,26 +849,6 @@ class _Kernel:
             + t2[(signature >> 10 ^ signature >> 9) & _MASK12]
         )
 
-    def _train(self, signature: int, dead: bool) -> None:
-        t0, t1, t2 = self.g_tables
-        i0 = (signature ^ signature >> 7) & _MASK12
-        i1 = (signature >> 5 ^ signature >> 8) & _MASK12
-        i2 = (signature >> 10 ^ signature >> 9) & _MASK12
-        if dead:
-            if t0[i0] < 3:
-                t0[i0] += 1
-            if t1[i1] < 3:
-                t1[i1] += 1
-            if t2[i2] < 3:
-                t2[i2] += 1
-        else:
-            if t0[i0] > 0:
-                t0[i0] -= 1
-            if t1[i1] > 0:
-                t1[i1] -= 1
-            if t2[i2] > 0:
-                t2[i2] -= 1
-
     # --- storage engine ------------------------------------------------------
 
     def _remove(self, now: int, start: int, rec: list, reason: int) -> None:
@@ -792,9 +856,11 @@ class _Kernel:
 
         The line map is left as-is (stale starts are re-validated by the
         inclusive-invalidation scan and the map is rebuilt exactly in
-        ``_sync_back``).  The policy-dict pops only matter during the
-        final drain, after ``_rebuild_policy_dicts`` has refreshed the
-        dicts; before that they are no-ops on state that gets rebuilt.
+        ``_sync_back``).  The online kinds' policy-dict pops only matter
+        during the final drain, after ``_rebuild_policy_dicts`` has
+        refreshed the dicts; before that they are no-ops on state that
+        gets rebuilt.  The offline kinds' pops mirror the policy's
+        ``on_evict`` on the live dicts.
         """
         del self.sets_pws[rec[_SET]][start]
         del self.resident[start]
@@ -828,11 +894,64 @@ class _Kernel:
             self.g_sig.pop(start, None)
             self.g_reused.pop(start, None)
             self.lu.pop(start, None)
+        elif kind == "furbys":
+            self.o_last_use.pop(start, None)
+            self.o_rrpv.pop(start, None)
+        elif kind == "thermometer":
+            self.o_last_use.pop(start, None)
+        elif kind in ("plan", "greedy") and reason != _UPGRADE:
+            # Replay modes keep the interval across an in-place upgrade
+            # (EvictionReason.UPGRADE is excluded in the reference).
+            self.interval_start.pop(start, None)
+
+    # The bracket-cache pattern below repeats inline in every ranking
+    # loop on purpose: a shared helper would reintroduce the very
+    # function-call overhead the cache removes.  The cached [idx, lo,
+    # hi] answers ``first occurrence > after`` iff ``occ[idx-1] <=
+    # after < occ[idx]`` (with the boundary cases); any other query —
+    # the next use went by, or a stale FLACK time_ref looks backwards —
+    # falls back to one bisect and re-caches.
 
     def _attempt(self, now: int, start: int, request: tuple) -> None:
-        """One insertion attempt (mirrors ``UopCache.try_insert``)."""
+        """One insertion attempt (mirrors ``UopCache.try_insert``).
+
+        The reference splits this across ``try_insert`` plus the
+        policy's ``should_bypass`` / ``choose_victims`` / ``on_evict``
+        hooks; here the whole decision is one straight-line body so the
+        per-kind specialization (module tail) prunes every cross-kind
+        branch and the bypass-check ranking doubles as the victim order
+        without a handoff.  The offline ranking loops never materialize
+        a candidate list: they iterate ``cset`` directly (dict order ==
+        residency order), skipping ``skip`` (the same-start entry being
+        upgraded); the unique running index ``i`` breaks sort ties in
+        residency order.
+
+        The offline kinds run this for every insertion completion.  The
+        online kinds inline it into :meth:`_segment` (keep the two in
+        lockstep) and run it only from :meth:`_drain`, after
+        :meth:`_rebuild_policy_dicts`: SRRIP values are absolute and
+        the policy dicts are live by then.
+        """
+        kind = self.kind
+        is_lru = kind == "lru"
+        is_srrip = kind == "srrip"
+        is_ghrp = kind == "ghrp"
+        is_belady = kind == "belady"
+        is_plan = kind == "plan"
+        is_greedy = kind == "greedy"
+        is_furbys = kind == "furbys"
+        is_thermo = kind == "thermometer"
+        start_identity = self.start_identity
+        async_aware = self.async_aware
+        metric0 = self.metric_mode == 0
+        metric1 = self.metric_mode == 1
+        keep_larger = self.keep_larger
+
         self.st_attempts += 1
-        uops, insts, bytes_len, weight, set_index, size = request[:6]
+        uops = request[0]
+        weight = request[3]
+        set_index = request[4]
+        size = request[5]
         ways = self.ways
         if size > ways:
             self.st_bypasses += 1
@@ -840,16 +959,20 @@ class _Kernel:
         cset = self.sets_pws[set_index]
         existing = cset.get(start)
         if existing is not None:
-            if self.keep_larger and existing[_UOPS] >= uops:
+            if keep_larger and existing[_UOPS] >= uops:
                 self.st_bypasses += 1
                 return
             extra_needed = size - existing[_SIZE]
+            skip = start
         else:
             extra_needed = size
+            skip = None
         need = extra_needed - (ways - self.used_ways[set_index])
-        kind = self.kind
-        sig = 0
-        if kind == "ghrp":
+
+        # --- should_bypass (GHRP and every offline kind override it, so
+        # the reference consults it on *every* attempt) ---
+        decorated = None
+        if is_ghrp:
             sig = ((start >> 4) ^ self.hist_now) & 0xFFFFFFFF
             if self._predict(sig) >= _BYPASS_THRESHOLD:
                 bypassed = self.g_bypassed
@@ -858,35 +981,309 @@ class _Kernel:
                     bypassed.clear()
                 self.st_bypasses += 1
                 return
-        if need > 0:
-            candidates = [s for s, r in cset.items() if r is not existing]
-            ranked = self._rank(cset, candidates, kind)
-            victims = []
-            freed = 0
-            for victim in ranked:
-                victims.append(victim)
-                freed += cset[victim][_SIZE]
-                if freed >= need:
-                    break
-            if freed < need:
-                # The set genuinely cannot host the PW; bypass (same
-                # fallback as ReplacementPolicy.choose_victims).
+        elif is_belady:
+            # A use *at* `now` still counts — insertions complete
+            # before the lookup at `now` is served.
+            span = self.span_get((start, uops))
+            if span is None:
                 self.st_bypasses += 1
                 return
+            occ = self.occ
+            after = now - 1
+            idx = bisect_right(occ, after, span[0], span[1])
+            if idx >= span[1]:
+                self.st_bypasses += 1
+                return
+            incoming_next = occ[idx]
+            if need > 0:
+                # Bypass when the incoming window would itself be the
+                # best victim.  The ranking built for the check is the
+                # victim order of this attempt (same `after`).
+                span_get = self.span_get
+                decorated = []
+                i = 0
+                bypass = True
+                for s, rec in cset.items():
+                    if s == skip:
+                        continue
+                    aux = rec[9]
+                    if aux is None:
+                        span = span_get((s, rec[0]))
+                        aux = rec[9] = (
+                            [span[0], span[0], span[1]]
+                            if span is not None else [0, 0, 0])
+                    idx, blo, bhi = aux
+                    if not ((idx == blo or occ[idx - 1] <= after)
+                            and (idx == bhi or occ[idx] > after)):
+                        idx = bisect_right(occ, after, blo, bhi)
+                        aux[0] = idx
+                    nuv = occ[idx] if idx < bhi else _NEVER
+                    if nuv > incoming_next:
+                        # NEVER or a later next use: not the best
+                        # victim.
+                        bypass = False
+                    decorated.append((-nuv, i, s))
+                    i += 1
+                if bypass:
+                    self.st_bypasses += 1
+                    return
+        elif is_plan:
+            # FOO follows its static plan eagerly: if the interval
+            # starting at the lookup was not admitted, bypass — even
+            # into free space.
+            lookup_t = self.pending_lookup_t.get(start, now)
+            if (not 0 <= lookup_t < self.n_admit
+                    or self.admit[lookup_t] == 0):
+                self.st_bypasses += 1
+                return
+        elif is_greedy:
+            key = start if start_identity else (start, uops)
+            occ = self.occ
+            span_get = self.span_get
+            if async_aware:
+                time_ref = now
+                span = span_get(key)
+                if (span is None
+                        or bisect_right(occ, now - 1, span[0], span[1])
+                        >= span[1]):
+                    # Reuse raced past during decode, or the window is
+                    # dead ("safeguarding late insertions").
+                    self.st_bypasses += 1
+                    return
+            else:
+                # Without the asynchrony feature the policy still
+                # believes the stale view from when the lookup missed.
+                time_ref = self.pending_lookup_t.get(start, now)
+            if need > 0:
+                # Never insert a window that would immediately be the
+                # best victim.  When the stale view coincides with
+                # `now` (always under async awareness) the scores
+                # computed for the check ARE the victim ranking of
+                # this attempt.
+                t = time_ref
+                incoming_score = _INF
+                span = span_get(key)
+                if span is not None:
+                    idx = bisect_right(occ, t - 1, span[0], span[1])
+                    if idx < span[1]:
+                        distance = float(occ[idx] - t)
+                        if metric0:
+                            incoming_score = distance * size
+                        elif metric1:
+                            incoming_score = distance
+                        else:
+                            incoming_score = (distance * size
+                                              / max(1, uops))
+                stale = t != now
+                after = t - 1
+                decorated = []
+                i = 0
+                bypass = True
+                for s, rec in cset.items():
+                    if s == skip:
+                        continue
+                    aux = rec[9]
+                    if aux is None:
+                        k = s if start_identity else (s, rec[0])
+                        span = span_get(k)
+                        aux = rec[9] = (
+                            [span[0], span[0], span[1]]
+                            if span is not None else [0, 0, 0])
+                    idx, blo, bhi = aux
+                    if not ((idx == blo or occ[idx - 1] <= after)
+                            and (idx == bhi or occ[idx] > after)):
+                        idx = bisect_right(occ, after, blo, bhi)
+                        aux[0] = idx
+                    if idx < bhi:
+                        distance = float(occ[idx] - t)
+                        if metric0:
+                            sc = distance * rec[1]
+                        elif metric1:
+                            sc = distance
+                        else:
+                            sc = distance * rec[1] / max(1, rec[0])
+                    else:
+                        sc = _INF
+                    if sc > incoming_score:
+                        if stale:
+                            # The stale ranking is NOT the victim
+                            # order — rebuild below at `now`.
+                            decorated = None
+                            bypass = False
+                            break
+                        bypass = False
+                    decorated.append((-sc, i, s))
+                    i += 1
+                if bypass:
+                    self.st_bypasses += 1
+                    return
+        elif is_furbys:
+            if (self.f_bypass_enabled and need > 0
+                    and weight is not None
+                    and weight < self.f_bypass_floor
+                    and len(cset) != (skip is not None)):
+                # Only profiled-cold windows (with a hint that reached
+                # the decoder) are bypass candidates, measured against
+                # the set's weight floor.
+                min_weight = None
+                for s, rec in cset.items():
+                    if s == skip:
+                        continue
+                    rw = rec[5]
+                    if rw is None:
+                        rw = 0
+                    if min_weight is None or rw < min_weight:
+                        min_weight = rw
+                if weight < min_weight - self.f_bypass_margin:
+                    self.pipeline.policy.bypass_decisions += 1
+                    self.st_bypasses += 1
+                    return
+        elif is_thermo and need > 0:
+            # A cold insertion never displaces an all-hot set.
+            classes_get = self.classes_get
+            if (classes_get(start, COLD) == COLD
+                    and len(cset) != (skip is not None)):
+                for s in cset:
+                    if s == skip:
+                        continue
+                    if classes_get(s, COLD) != HOT:
+                        break
+                else:
+                    self.st_bypasses += 1
+                    return
+
+        if need > 0:
+            # --- choose_victims ---
+            if is_furbys:
+                victims = self._furbys_victims(now, set_index, cset,
+                                               skip, need)
+                if victims is None:
+                    # The policy could not (or chose not to) free
+                    # enough ways: bypass, same as a Bypass decision.
+                    self.st_bypasses += 1
+                    return
+            else:
+                if decorated is None:
+                    decorated = []
+                    i = 0
+                    if is_plan:
+                        # Static plan adherence: plan-bypassed
+                        # residents leave first, furthest next use
+                        # first within each class (the plan ranking
+                        # queries the future at `now`, not `now - 1`).
+                        interval_get = self.interval_start.get
+                        admit = self.admit
+                        n_admit = self.n_admit
+                        occ = self.occ
+                        span_get = self.span_get
+                        after = now
+                        for s, rec in cset.items():
+                            if s == skip:
+                                continue
+                            pt = interval_get(s)
+                            planned = 1 if (pt is not None
+                                            and 0 <= pt < n_admit
+                                            and admit[pt]) else 0
+                            aux = rec[9]
+                            if aux is None:
+                                k = (s if start_identity
+                                     else (s, rec[0]))
+                                span = span_get(k)
+                                aux = rec[9] = (
+                                    [span[0], span[0], span[1]]
+                                    if span is not None else [0, 0, 0])
+                            idx, blo, bhi = aux
+                            if not ((idx == blo
+                                     or occ[idx - 1] <= after)
+                                    and (idx == bhi
+                                         or occ[idx] > after)):
+                                idx = bisect_right(occ, after, blo, bhi)
+                                aux[0] = idx
+                            nuv = occ[idx] if idx < bhi else _NEVER
+                            decorated.append((planned, -nuv, i, s))
+                            i += 1
+                    elif is_greedy:
+                        # The bypass check ran on a stale time_ref; the
+                        # victim ranking queries the future at `now`.
+                        occ = self.occ
+                        span_get = self.span_get
+                        after = now - 1
+                        for s, rec in cset.items():
+                            if s == skip:
+                                continue
+                            aux = rec[9]
+                            if aux is None:
+                                k = (s if start_identity
+                                     else (s, rec[0]))
+                                span = span_get(k)
+                                aux = rec[9] = (
+                                    [span[0], span[0], span[1]]
+                                    if span is not None else [0, 0, 0])
+                            idx, blo, bhi = aux
+                            if not ((idx == blo
+                                     or occ[idx - 1] <= after)
+                                    and (idx == bhi
+                                         or occ[idx] > after)):
+                                idx = bisect_right(occ, after, blo, bhi)
+                                aux[0] = idx
+                            if idx < bhi:
+                                distance = float(occ[idx] - now)
+                                if metric0:
+                                    sc = distance * rec[1]
+                                elif metric1:
+                                    sc = distance
+                                else:
+                                    sc = (distance * rec[1]
+                                          / max(1, rec[0]))
+                            else:
+                                sc = _INF
+                            decorated.append((-sc, i, s))
+                            i += 1
+                    elif is_thermo:
+                        # Cold before warm before hot, LRU within a
+                        # class (last use lives in the record stamp).
+                        classes_get = self.classes_get
+                        for s, rec in cset.items():
+                            if s == skip:
+                                continue
+                            decorated.append(
+                                (classes_get(s, COLD), rec[8], i, s))
+                            i += 1
+                    else:
+                        # The online kinds (Belady's ranking is always
+                        # built by its bypass check).
+                        decorated = self._rank(cset, skip)
+                # Base-protocol greedy accumulation (stable sort; ties
+                # fall back to residency order via `i`).
+                decorated.sort()
+                victims = []
+                freed = 0
+                for tup in decorated:
+                    vs = tup[-1]
+                    victims.append(vs)
+                    freed += cset[vs][_SIZE]
+                    if freed >= need:
+                        break
+                else:
+                    # The set genuinely cannot host the PW; bypass (same
+                    # fallback as ReplacementPolicy.choose_victims).
+                    self.st_bypasses += 1
+                    return
+            # Evict (EvictionReason.REPLACEMENT).
+            remove = self._remove
             for victim in victims:
                 rec = cset[victim]
                 self.st_evictions += 1
                 self.st_evicted_entries += rec[_SIZE]
-                self._remove(now, victim, rec, _REPLACEMENT)
+                remove(now, victim, rec, _REPLACEMENT)
         if existing is not None:
             # Upgrade in place: same tag, more entries (keep-larger).
             if weight is None:
                 weight = existing[_WEIGHT]
             self._remove(now, start, existing, _UPGRADE)
-        line_bytes = self.line_bytes
-        first_line = start // line_bytes
-        last_line = (start + bytes_len - 1) // line_bytes
-        rec = [uops, size, set_index, insts, bytes_len, weight,
+        first_line = request[6]
+        last_line = request[7]
+        rec = [uops, size, set_index, request[1], request[2], weight,
                first_line, last_line, now, None, False]
         cset[start] = rec
         self.resident[start] = rec
@@ -900,15 +1297,15 @@ class _Kernel:
                 starts.add(start)
         self.st_insertions += 1
         self.st_writes += size
-        if kind == "lru":
+        if is_lru:
             self.lu[start] = now
-        elif kind == "srrip":
+        elif is_srrip:
             # Offsets are normalized before drain-time attempts run,
             # so the absolute insert value is also the raw one.
             self.rrpv[start] = RRPV_INSERT
             rec[_AUX] = RRPV_INSERT
             self.lu[start] = now
-        elif kind == "ghrp":
+        elif is_ghrp:
             self.g_sig[start] = sig
             rec[_G_I0:] = [(sig ^ sig >> 7) & _MASK12,
                            (sig >> 5 ^ sig >> 8) & _MASK12,
@@ -916,23 +1313,43 @@ class _Kernel:
                            False, sig]
             self.g_reused[start] = False
             self.lu[start] = now
+        elif is_furbys:
+            self.o_last_use[start] = now
+            self.o_rrpv[start] = RRPV_INSERT
+        elif is_thermo:
+            self.o_last_use[start] = now
+        elif is_belady or is_plan or is_greedy:
+            if not is_belady:
+                # The residency interval starts at the lookup that
+                # missed (async insertion), falling back to the
+                # completion time.
+                self.interval_start[start] = \
+                    self.pending_lookup_t.pop(start, now)
+            # Seed the record's occurrence-bracket cache ([idx, lo, hi]
+            # into occ_list; [0, 0, 0] = no occurrences).
+            key = start if start_identity else (start, uops)
+            span = self.span_get(key)
+            rec[9] = ([span[0], span[0], span[1]] if span is not None
+                      else [0, 0, 0])
 
-    def _rank(self, cset: dict[int, list], candidates: list[int],
-              kind: str) -> list[int]:
-        """Victim preference order (mirrors each policy's victim_order).
+    def _rank(self, cset: dict[int, list], skip: int | None) -> list[tuple]:
+        """Online kinds' victim sort keys (mirrors each victim_order).
 
-        Reads policy state from the records (the only live copy during
-        the run); ties break in candidate order, matching the
-        reference's stable sorts over the same orderings.
+        One ``(key..., i, start)`` tuple per resident other than
+        ``skip``; sorted, they give the victim order, with ties broken
+        in residency order by ``i`` like the reference's stable sorts
+        over the same orderings.  Reads policy state from the records
+        (the only live copy during the run).
         """
+        kind = self.kind
+        candidates = [s for s in cset if s != skip]
         if kind == "lru":
-            order = sorted((cset[s][_LU], i)
-                           for i, s in enumerate(candidates))
-            return [candidates[i] for _, i in order]
+            return [(cset[s][_LU], i, s) for i, s in enumerate(candidates)]
         if kind == "random":
-            order = list(candidates)
-            self.rng_shuffle(order)
-            return order
+            # The shuffled order is the victim order; the leading index
+            # keeps the sort from reordering it.
+            self.rng_shuffle(candidates)
+            return list(enumerate(candidates))
         if kind == "srrip":
             # Only reachable at drain time, after offsets are folded
             # back (raw == absolute); aging keeps dict and records in
@@ -948,12 +1365,8 @@ class _Kernel:
                 for s, value in zip(candidates, values):
                     rrpv[s] = value
                     cset[s][_AUX] = value
-            decorated = [
-                (-values[i], cset[s][_LU], i, s)
-                for i, s in enumerate(candidates)
-            ]
-            decorated.sort()
-            return [entry[3] for entry in decorated]
+            return [(-values[i], cset[s][_LU], i, s)
+                    for i, s in enumerate(candidates)]
         # ghrp: dead-predicted first, ties broken by LRU.
         t0, t1, t2 = self.g_tables
         decorated = []
@@ -963,13 +1376,80 @@ class _Kernel:
             dead = i0 is not None and (
                 t0[i0] + t1[r[_G_I1]] + t2[r[_G_I2]] >= _DEAD_THRESHOLD)
             decorated.append((0 if dead else 1, r[_LU], i, s))
+        return decorated
+
+    def _furbys_victims(self, now: int, set_index: int, cset: dict,
+                        skip, need: int) -> list | None:
+        """Mirror of ``FurbysPolicy.choose_victims``."""
+        policy = self.pipeline.policy
+        decorated = []
+        i = 0
+        for s, rec in cset.items():
+            if s == skip:
+                continue
+            w = rec[5]
+            decorated.append((w if w is not None else 0,
+                              rec[8], i, s))
+            i += 1
+        if not decorated:
+            return []
         decorated.sort()
-        return [entry[3] for entry in decorated]
+        ranked = [tup[3] for tup in decorated]
+        use_fallback = False
+        if self.f_pitfall_depth > 0:
+            if ranked[0] in self.f_detector(set_index):
+                # The weight-based victim was itself evicted from this
+                # set just recently: degrade to SRRIP for one decision.
+                use_fallback = True
+        if use_fallback:
+            candidates = [s for s in cset if s != skip]
+            ranked = self._rrpv_victims(cset, candidates)
+            policy.fallback_selections += 1
+        else:
+            policy.primary_selections += 1
+        victims = []
+        freed = 0
+        for vs in ranked:
+            if freed >= need:
+                break
+            victims.append(vs)
+            freed += cset[vs][_SIZE]
+        if freed < need:
+            return None
+        if self.f_pitfall_depth > 0:
+            detector = self.f_detector(set_index)
+            if use_fallback:
+                detector.clear()
+            else:
+                for vs in victims:
+                    detector.append(vs)
+        return victims
+
+    def _rrpv_victims(self, cset: dict, candidates: list) -> list:
+        """Mirror of ``RRPVTable.victim_order`` with LRU tie-breaks."""
+        o_rrpv = self.o_rrpv
+        values = [o_rrpv.get(s, RRPV_MAX) for s in candidates]
+        current_max = max(values)
+        if current_max < RRPV_MAX:
+            # Age the set until a distant entry exists, writing the
+            # aged values back (hardware counter increments would).
+            delta = RRPV_MAX - current_max
+            values = [value + delta for value in values]
+            for s, value in zip(candidates, values):
+                o_rrpv[s] = value
+        decorated = sorted(
+            (-values[i], cset[s][8], i)
+            for i, s in enumerate(candidates))
+        return [candidates[i] for _, _, i in decorated]
 
     # --- main loop -----------------------------------------------------------
 
     def _segment(self, begin: int, end: int) -> None:
-        """Simulate lookups ``[begin, end)`` into ``pipeline.stats``."""
+        """Simulate lookups ``[begin, end)`` into ``pipeline.stats``.
+
+        The generic template of every kind's loop: runs execute the
+        variant compiled with their flags baked in (module tail).
+        """
         pipeline = self.pipeline
         stats = pipeline.stats
         cfg = pipeline.config
@@ -995,7 +1475,23 @@ class _Kernel:
         is_lru = kind == "lru"
         is_ghrp = kind == "ghrp"
         is_srrip = kind == "srrip"
-        track_lu = is_lru or is_srrip
+        is_replay = kind in ("plan", "greedy")
+        is_furbys = kind == "furbys"
+        # Hit stamps: lru/srrip stamp the record only (their policy
+        # dicts are rebuilt before the drain); furbys/thermometer stamp
+        # the record and mirror the live policy dicts.
+        rec_stamps = is_lru or is_srrip
+        dict_stamps = is_furbys or kind == "thermometer"
+        # The online kinds inline the insertion attempt below; the
+        # offline kinds call _attempt.
+        inline_attempt = kind in _ONLINE_KINDS
+        has_phs = self.has_phs
+        interval_start = self.interval_start
+        pending_lookup_t = self.pending_lookup_t
+        o_last_use = self.o_last_use
+        o_rrpv = self.o_rrpv
+        phs = self.phs
+        phs_get = phs.get
         if is_srrip:
             rrpv_off = self.rrpv_off
         if is_ghrp:
@@ -1028,6 +1524,7 @@ class _Kernel:
         in_flight_get = in_flight.get
         in_flight_pop = in_flight.pop
         in_flight_setdefault = in_flight.setdefault
+        attempt = self.attempt_fn
         rank = self._rank
         remove = self._remove
 
@@ -1101,9 +1598,12 @@ class _Kernel:
                     request = in_flight_pop(queued_start, None)
                     if request is None:
                         continue  # superseded and already completed
-                    # --- inlined insertion attempt; the drain-time
-                    # _attempt method is the readable reference for
-                    # this block — keep them in lockstep.  (Attempts
+                    if not inline_attempt:
+                        attempt(self, now, queued_start, request)
+                        continue
+                    # --- inlined insertion attempt; the _attempt
+                    # method is the readable reference for this
+                    # block — keep them in lockstep.  (Attempts
                     # are not counted here: every attempt ends as
                     # exactly one insertion or bypass, so the fold
                     # derives the total.) ---
@@ -1157,7 +1657,8 @@ class _Kernel:
                                     for i, s in enumerate(cands))
                                 ranked = [cands[i] for _, _, i in order]
                             else:
-                                ranked = rank(cset, cands, kind)
+                                ranked = [tup[-1] for tup in sorted(
+                                    rank(cset, queued_start))]
                             victims = []
                             freed = 0
                             for vs in ranked:
@@ -1424,7 +1925,14 @@ class _Kernel:
             if rec is not None and rec[0] >= uops:
                 # Full hit: probe + recency stamp, everything else is
                 # reconstructed from the prefix sums afterwards.
-                if track_lu:
+                if has_phs:
+                    entry = phs_get(start)
+                    if entry is None:
+                        phs[start] = [uops, uops]
+                    else:
+                        entry[0] += uops
+                        entry[1] += uops
+                if rec_stamps:
                     rec[8] = now
                     if is_srrip:
                         rec[9] = RRPV_HIT - rrpv_off[rec[2]]
@@ -1445,6 +1953,13 @@ class _Kernel:
                             c = t2[hi2]
                             if c > 0:
                                 t2[hi2] = c - 1
+                elif dict_stamps:
+                    rec[8] = now  # ranking reads the record stamp
+                    o_last_use[start] = now
+                    if is_furbys:
+                        o_rrpv[start] = RRPV_HIT
+                elif is_replay:
+                    interval_start[start] = now
                 if not on_uop_path:
                     path_switches += 1
                     on_uop_path = True
@@ -1454,6 +1969,14 @@ class _Kernel:
                     # Full miss: record the index; totals are fancy-indexed
                     # numpy sums at segment fold time.
                     miss_append(now)
+                    if has_phs:
+                        entry = phs_get(start)
+                        if entry is None:
+                            phs[start] = [0, uops]
+                        else:
+                            entry[1] += uops
+                    if is_replay:
+                        pending_lookup_t[start] = now
                     if on_uop_path:
                         path_switches += 1
                         on_uop_path = False
@@ -1468,13 +1991,20 @@ class _Kernel:
                     pw_partial_hits += 1
                     uops_missed += missed
                     reads_corr += rec[1] - request[5]
+                    if has_phs:
+                        entry = phs_get(start)
+                        if entry is None:
+                            phs[start] = [served, uops]
+                        else:
+                            entry[0] += served
+                            entry[1] += uops
                     missed_insts = max(1, round(insts_now * missed / uops))
                     dec_episodes += 1
                     dec_insts += missed_insts
                     dec_uops += missed
                     cycles = -(-missed_insts // decode_width)
                     dec_cycles += cycles if cycles > 1 else 1
-                    if track_lu:
+                    if rec_stamps:
                         rec[8] = now
                         if is_srrip:
                             rec[9] = RRPV_HIT - rrpv_off[rec[2]]
@@ -1495,6 +2025,14 @@ class _Kernel:
                                 c = t2[hi2]
                                 if c > 0:
                                     t2[hi2] = c - 1
+                    elif dict_stamps:
+                        rec[8] = now  # ranking reads the record stamp
+                        o_last_use[start] = now
+                        if is_furbys:
+                            o_rrpv[start] = RRPV_HIT
+                    elif is_replay:
+                        interval_start[start] = now
+                        pending_lookup_t[start] = now
                     path_switches += 1 if on_uop_path else 2
                     on_uop_path = False
                     fetch_start = start + rec[4]
@@ -1642,12 +2180,18 @@ class _Kernel:
         stats.path_switches += path_switches
         stats.icache_accesses += icache_accesses
         stats.inclusive_invalidations += inclusive_invalidations
-        stats.insertion_attempts += insertions + bypasses
-        stats.insertions += insertions
-        stats.bypasses += bypasses
-        stats.uop_cache_writes += writes
-        stats.evictions += evictions
-        stats.evicted_entries += evicted_entries
+        # Insertion outcomes: the inlined attempt counts in locals,
+        # _attempt/_remove count on self (and also maintain the
+        # cache-object counters).  For a given kind one of the two is
+        # always 0; fold both, then reset the latter like the drain does.
+        stats.insertion_attempts += insertions + bypasses + self.st_attempts
+        stats.insertions += insertions + self.st_insertions
+        stats.bypasses += bypasses + self.st_bypasses
+        stats.uop_cache_writes += writes + self.st_writes
+        stats.evictions += evictions + self.st_evictions
+        stats.evicted_entries += evicted_entries + self.st_evicted_entries
+        self.st_attempts = self.st_insertions = self.st_bypasses = 0
+        self.st_writes = self.st_evictions = self.st_evicted_entries = 0
         # Cache-object counters mirror the stats-level ones exactly for
         # the inline replacement path, so one pair of locals serves both.
         self.cache_evictions += evictions
@@ -1665,34 +2209,42 @@ class _Kernel:
 
 # --- per-kind loop specialization ---------------------------------------------
 
-#: Run-constant flags baked into specialized ``_segment`` variants.
-_SPEC_NAMES = ("is_lru", "is_srrip", "is_ghrp", "track_lu", "keep_larger",
-               "has_hints", "perfect_icache", "inclusive", "inline_shuffle")
-#: Compiled variants keyed by flag tuple (None = compilation unavailable).
+#: Run-constant flags baked into the specialized variants of each
+#: template.  The kind flags prune the cross-kind branches; the config
+#: flags (hints, icache, inclusion, keep-larger, and the replay policy's
+#: identity mode, asynchrony and metric) fold their per-event tests away.
+_SPEC_NAMES = {
+    "_segment": ("is_lru", "is_srrip", "is_ghrp", "is_replay", "is_furbys",
+                 "rec_stamps", "dict_stamps", "inline_attempt", "has_phs",
+                 "keep_larger", "has_hints", "perfect_icache", "inclusive",
+                 "inline_shuffle"),
+    "_attempt": ("is_lru", "is_srrip", "is_ghrp", "is_belady", "is_plan",
+                 "is_greedy", "is_furbys", "is_thermo", "start_identity",
+                 "async_aware", "metric0", "metric1", "keep_larger"),
+}
+#: Compiled variants keyed by (template, flag tuple); None means
+#: compilation was unavailable.
 _spec_cache: dict[tuple, object] = {}
-#: One-element cache for the extracted ``_segment`` source.
-_spec_template: list[str] = []
+#: One-element caches for each template's extracted source.
+_spec_templates: dict[str, list[str]] = {name: [] for name in _SPEC_NAMES}
 
 
-def _compile_segment(flags: dict) -> object:
-    """Compile ``_Kernel._segment`` with run-constant flags baked in.
+def _specialized(method: str, flags: dict):
+    """Cached ``_Kernel.<method>`` with ``flags`` baked in (None on failure).
 
     Delegates the source transformation to
     :mod:`repro.frontend._specialize` and compiles in-process; any
-    failure falls back to the generic loop.
+    failure falls back to the generic template.
     """
-    return compile_flagged(
-        _Kernel._segment, _SPEC_NAMES, flags, new_name="_segment_spec",
-        namespace=globals(), prefix="segment", template=_spec_template,
-    )
-
-
-def _specialized_segment(flags: dict):
-    """Cached specialized ``_segment`` for ``flags`` (None on failure)."""
-    key = tuple(bool(flags[n]) for n in _SPEC_NAMES)
+    names = _SPEC_NAMES[method]
+    key = (method, *(bool(flags[n]) for n in names))
     if key not in _spec_cache:
         try:
-            _spec_cache[key] = _compile_segment(flags)
+            _spec_cache[key] = compile_flagged(
+                getattr(_Kernel, method), names, flags,
+                new_name=f"{method}_spec", namespace=globals(),
+                prefix=method.lstrip("_"), template=_spec_templates[method],
+            )
         except Exception:  # pragma: no cover - source unavailable
             _spec_cache[key] = None
     return _spec_cache[key]
@@ -1703,12 +2255,12 @@ _spec_evictions = 0
 
 
 def segment_cache_stats() -> dict[str, int]:
-    """Resident and cumulatively evicted compiled online segments."""
+    """Resident and cumulatively evicted compiled variants."""
     return {"entries": len(_spec_cache), "evicted": _spec_evictions}
 
 
 def clear_segment_cache() -> int:
-    """Drop the compiled specialized segments (cache maintenance)."""
+    """Drop the compiled specialized variants (cache maintenance)."""
     global _spec_evictions
     dropped = len(_spec_cache)
     _spec_evictions += dropped

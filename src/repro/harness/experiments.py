@@ -969,9 +969,10 @@ def abl_offline_scale(trace_len: int = 1_000_000) -> dict:
     arms: the Belady bound, FLACK and the deployable FURBYS /
     Thermometer policies.  These were previously too slow to run at
     production scale — each lookup pays future-index or hint/RRPV
-    bookkeeping on top of the cache model — but the offline kernel
-    specializations (:mod:`repro.frontend.simd_offline`) replay them
-    columnar, so million-lookup traces are this figure's default.
+    bookkeeping on top of the cache model — but the simulation
+    kernel's offline specializations (:mod:`repro.frontend.simd`)
+    replay them columnar, so million-lookup traces are this figure's
+    default.
     It re-checks the FLACK-bound / FURBYS / Thermometer miss-reduction
     ordering (Figures 5 and 8) at ~22x the default length.
 

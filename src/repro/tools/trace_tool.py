@@ -121,18 +121,15 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         for name, count in sim_fallbacks.items():
             print(f"  {name.removeprefix('sim_fallback:'):24s}: {count}")
         from ..core.trace import memo_census
-        from ..frontend import simd, simd_offline
+        from ..frontend import simd
 
         census = memo_census()
-        online = simd.segment_cache_stats()
-        offline = simd_offline.segment_cache_stats()
+        compiled = simd.segment_cache_stats()
         print(f"simd column memos  : {census['entries']} "
               f"(in {census['traces']} traces, "
               f"{census['evicted']} evicted)")
-        print(f"compiled segments  : online {online['entries']} "
-              f"({online['evicted']} evicted), "
-              f"offline {offline['entries']} "
-              f"({offline['evicted']} evicted)")
+        print(f"compiled variants  : {compiled['entries']} "
+              f"({compiled['evicted']} evicted)")
         if args.trace is None:
             return 0
     if args.trace is None:

@@ -1,7 +1,8 @@
-"""Bit-identity and fallback guards for the offline-policy sim kernel.
+"""Bit-identity and fallback guards for the offline-policy kinds.
 
 Mirror of ``tests/test_sim_kernel.py`` for the offline and
-profile-guided families (:mod:`repro.frontend.simd_offline`):
+profile-guided kinds of the one simulation kernel
+(:mod:`repro.frontend.simd`):
 
 * **Property sweep** — randomized cache geometries, the Belady /
   FOO-replay / FLACK / FURBYS / Thermometer arms, trace lengths
@@ -10,8 +11,10 @@ profile-guided families (:mod:`repro.frontend.simd_offline`):
   state (intervals, pending lookups, recency, RRPV, pitfall detectors,
   selection counters) field-by-field.
 * **Recording parity** — per-PW hit-rate recording
-  (``record_hit_rates=True``, the profiling-replay shape) runs through
-  the kernel with a bit-identical ``pw_hit_stats`` dict.
+  (``record_hit_rates=True``: the profiling-replay shape, and Figure
+  22's per-PW hit rates) runs through the kernel with a bit-identical
+  ``pw_hit_stats`` dict, for the online kinds as well as the offline
+  ones.
 * **Fallback visibility** — unsupported shapes run the reference loop
   and count a ``sim_fallback:<policy>:<reason>`` resilience counter,
   which :class:`~repro.harness.resilience.FaultReport` routes to its
@@ -47,6 +50,8 @@ from repro.workloads.registry import clear_trace_cache, get_trace
 
 POLICIES = ("belady", "foo-ohr", "flack", "flack[A]", "furbys",
             "thermometer")
+#: Online arms, built parameter-free by make_policy.
+ONLINE = ("lru", "srrip", "random", "ghrp")
 
 #: Same pinned-seed geometry draw as test_sim_kernel (direct-mapped,
 #: single-set and wide corners included).
@@ -114,6 +119,8 @@ def _build(policy: str, trace: Trace, config):
     combination (including bypass-eligible cold windows) occurs
     without a profiling replay per case.
     """
+    if policy in ONLINE:
+        return make_policy(policy), None
     if policy == "belady":
         return BeladyPolicy(trace), None
     if policy == "foo-ohr":
@@ -179,23 +186,25 @@ def test_offline_kernel_matches_reference(n, sets, ways, policy):
     assert _policy_state(kernel_policy) == _policy_state(reference_policy)
 
 
-@pytest.mark.parametrize("policy", ("belady", "foo-ohr", "flack"))
+@pytest.mark.parametrize("policy", ONLINE + (
+    "belady", "foo-ohr", "flack", "furbys", "thermometer"))
 def test_hit_rate_recording_matches_reference(policy):
-    """The profiling-replay shape (offline policy + per-PW recording)
-    routes through the kernel with bit-identical pw_hit_stats."""
+    """Per-PW recording (the profiling-replay shape, and Figure 22's
+    per-PW hit rates under LRU/SRRIP) routes through the kernel with
+    bit-identical pw_hit_stats for every kind."""
     config = preset("zen3").with_uop_cache(entries=64, ways=8)
     trace = _random_trace(seed=77, n=3_000)
 
-    kernel_policy, _ = _build(policy, trace, config)
+    kernel_policy, hints = _build(policy, trace, config)
     kernel_pipeline = FrontendPipeline(
-        config, kernel_policy, record_hit_rates=True)
+        config, kernel_policy, hints=hints, record_hit_rates=True)
     with stagetimer.capture() as stages:
         kernel_stats = kernel_pipeline.run(trace)
     assert stages.get("sim_kernel_calls")
 
-    reference_policy, _ = _build(policy, trace, config)
+    reference_policy, hints = _build(policy, trace, config)
     reference_pipeline = FrontendPipeline(
-        config, reference_policy, record_hit_rates=True)
+        config, reference_policy, hints=hints, record_hit_rates=True)
     reference_stats = reference_pipeline.run_reference(trace)
 
     assert dataclasses.asdict(kernel_stats) == \
@@ -207,12 +216,11 @@ def test_hit_rate_recording_matches_reference(policy):
 class TestFallbackVisibility:
     @pytest.mark.parametrize("reason", (
         "unsupported_policy", "miss_classifier", "perfect_uop_cache",
-        "pw_hit_stats",
     ))
     def test_unsupported_shape_counts_a_reasoned_fallback(self, reason):
-        """Shapes no kernel serves — a policy without a kernel (SHiP++),
-        miss classification, a perfect uop cache, per-PW recording under
-        an online policy — run the reference loop, count exactly one
+        """Shapes the kernel does not serve — a policy without a kernel
+        (SHiP++), miss classification, a perfect uop cache — run the
+        reference loop, count exactly one
         sim_fallback:<policy>:<reason> and stay bit-identical."""
         config = preset("zen3").with_uop_cache(entries=32, ways=4)
         if reason == "perfect_uop_cache":
@@ -222,14 +230,11 @@ class TestFallbackVisibility:
         def pipeline() -> FrontendPipeline:
             if reason == "unsupported_policy":
                 policy = make_policy("ship++")
-            elif reason == "pw_hit_stats":
-                policy = make_policy("lru")
             else:
                 policy, _ = _build("belady", trace, config)
             return FrontendPipeline(
                 config, policy,
                 classify_misses=reason == "miss_classifier",
-                record_hit_rates=reason == "pw_hit_stats",
             )
 
         resilience.reset_counters()
@@ -246,7 +251,6 @@ class TestFallbackVisibility:
         reference = pipeline()
         assert dataclasses.asdict(stats) == \
             dataclasses.asdict(reference.run_reference(trace))
-        assert served.pw_hit_stats == reference.pw_hit_stats
 
     def test_fault_report_routes_sim_fallbacks_separately(self):
         """sim_fallback:* counters are informational: itemized on the
