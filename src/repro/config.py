@@ -15,12 +15,29 @@ hit)" methodology of Figure 2.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ReproError
 
 #: Known configuration preset names, in the order they appear in the paper.
 PRESETS = ("zen3", "zen4")
+
+
+def env_number(name: str, parse):
+    """``parse`` of env var ``name``, None when unset or blank.
+
+    A malformed value raises :class:`ReproError` naming the variable.
+    """
+    env = os.environ.get(name, "").strip()
+    if not env:
+        return None
+    try:
+        return parse(env)
+    except ValueError:
+        raise ReproError(
+            f"{name}={env!r} is not a valid {parse.__name__}"
+        ) from None
 
 
 @dataclass(frozen=True, slots=True)

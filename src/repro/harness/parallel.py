@@ -85,6 +85,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .. import faultinject
+from ..config import env_number
 from ..core.stats import SimulationStats
 from ..core.trace import Trace, TraceColumns, TraceMetadata
 from ..errors import FaultInjectionError, ReproError, TraceError
@@ -150,26 +151,10 @@ class BatchExecutionError(RuntimeError):
         self.attempts = attempts
 
 
-def _env_number(name: str, parse):
-    """``parse`` of env var ``name``, None when unset or blank.
-
-    A malformed value raises :class:`ReproError` naming the variable.
-    """
-    env = os.environ.get(name, "").strip()
-    if not env:
-        return None
-    try:
-        return parse(env)
-    except ValueError:
-        raise ReproError(
-            f"{name}={env!r} is not a valid {parse.__name__}"
-        ) from None
-
-
 def resolve_jobs(jobs: int | None = None) -> int:
     """Worker count: explicit arg, else ``REPRO_JOBS``, else cpu count."""
     if jobs is None:
-        jobs = _env_number("REPRO_JOBS", int)
+        jobs = env_number("REPRO_JOBS", int)
         if jobs is None:
             jobs = os.cpu_count() or 1
     return max(1, int(jobs))
@@ -189,7 +174,7 @@ def resolve_on_error(on_error: str | None = None) -> str:
 def _resolve_timeout(timeout_s: float | None) -> float | None:
     """Per-chunk timeout: explicit arg, else ``REPRO_TIMEOUT_S``, else off."""
     if timeout_s is None:
-        timeout_s = _env_number("REPRO_TIMEOUT_S", float)
+        timeout_s = env_number("REPRO_TIMEOUT_S", float)
     if timeout_s is not None and timeout_s <= 0:
         return None
     return timeout_s

@@ -1,6 +1,6 @@
 """Opt-in wall-clock attribution for the stages inside a layer.
 
-Trace construction (CFG build, MPKI pilot, walk) and policy
+Trace construction (CFG build, walk with its MPKI calibration) and policy
 construction (future index, interval decomposition, admission
 planning, flow solving, profiling simulation, hint building) each span
 several stages.  Each stage wraps its work in :func:`timed`; when no

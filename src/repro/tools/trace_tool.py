@@ -100,16 +100,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     if args.cache_stats:
-        from ..workloads.registry import TRACE_CACHE_CAP, trace_cache_stats
+        from ..workloads.registry import trace_cache_cap, trace_cache_stats
 
         stats = trace_cache_stats()
-        print(f"registry LRU cap   : {TRACE_CACHE_CAP}"
-              f"{' (unbounded)' if TRACE_CACHE_CAP <= 0 else ''}")
+        cap = trace_cache_cap()
+        print(f"registry LRU cap   : {cap}"
+              f"{' (unbounded)' if cap <= 0 else ''}")
         print(f"memory-resident    : {stats['cached']}")
         print(f"memory hits        : {stats['memory_hits']}")
         print(f"disk hits          : {stats['disk_hits']}")
         print(f"generated (misses) : {stats['generated']}")
         print(f"LRU evictions      : {stats['evictions']}")
+        print(f"CFG builds         : {stats['cfg_builds']}")
+        print(f"CFG reuses         : {stats['cfg_reuses']}")
         from ..harness.resilience import global_counters
 
         sim_fallbacks = {

@@ -19,17 +19,21 @@ start with a different outcome on an internal branch yields the
 overlapping same-start/different-length windows of Section II-D.
 
 :meth:`TraceGenerator.generate` walks straight into packed trace
-columns.  The object walk (``_run_function``/``_emit``) is kept only as
-the RNG-order oracle behind ``TraceGenerator._generate_reference``,
-which tests call.
+columns and calibrates the branch MPKI from the walk's own first
+:data:`CALIBRATION_LOOKUPS` lookups.  The object walk
+(``_run_function``/``_emit``) is kept only as the test oracle behind
+``TraceGenerator._generate_reference``, which calibrates with two
+explicit pilot walks instead.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import random
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .. import stagetimer
 from ..core.pw import PWLookup
@@ -51,9 +55,66 @@ from .cfg import BasicBlock, ProgramCFG
 #: cached trace can never masquerade as a regenerated one.
 GENERATOR_VERSION = "1"
 
+#: Lookups the branch-MPKI calibration measures: the first
+#: ``min(n, CALIBRATION_LOOKUPS)`` lookups of an ``n``-lookup trace.
+CALIBRATION_LOOKUPS = 12000
+
+#: One icache-line run of a block: ``(abs_start, uops, insts, abs_end, line)``.
+Segment = tuple[int, int, int, int, int]
+#: Every block's segments, indexed ``[function][block]``.
+BlockSegments = list[list[tuple[Segment, ...]]]
+
+#: Flags of a window terminated by a (correctly predicted / mispredicted)
+#: branch.
+_BRANCH = FLAG_TERMINATED | FLAG_CONTAINS
+_BRANCH_MISPREDICTED = _BRANCH | FLAG_MISPREDICTED
+
 
 class _TraceComplete(Exception):
     """Internal signal: the requested number of lookups was emitted."""
+
+
+def _segment_block(block: BasicBlock, line_bytes: int) -> tuple[Segment, ...]:
+    """Static line-boundary segmentation of one block.
+
+    Returns ``(abs_start, uops, insts, abs_end, line)`` runs of
+    consecutive instructions whose start addresses share an icache
+    line — exactly the granularity at which the walk splits PWs.
+    """
+    addr = block.addr
+    uop_prefix = block.uop_prefix
+    segments: list[Segment] = []
+    prev_end = prev_uops = 0
+    seg_start = seg_line = -1
+    seg_end = uops = insts = 0
+    for i, inst_end in enumerate(block.inst_ends):
+        inst_start = addr + prev_end
+        line = inst_start // line_bytes
+        if seg_line < 0:
+            seg_start, seg_line = inst_start, line
+        elif line != seg_line:
+            segments.append((seg_start, uops, insts, seg_end, seg_line))
+            seg_start, seg_line = inst_start, line
+            uops = insts = 0
+        uops += uop_prefix[i] - prev_uops
+        prev_uops = uop_prefix[i]
+        insts += 1
+        seg_end = addr + inst_end
+        prev_end = inst_end
+    segments.append((seg_start, uops, insts, seg_end, seg_line))
+    return tuple(segments)
+
+
+def segment_blocks(cfg: ProgramCFG, line_bytes: int = 64) -> BlockSegments:
+    """Every block's static segmentation, indexed ``[function][block]``.
+
+    Depends only on the CFG's addresses, so generators walking the same
+    CFG (the inputs of one application) can share it.
+    """
+    return [
+        [_segment_block(block, line_bytes) for block in function.blocks]
+        for function in cfg.functions
+    ]
 
 
 @dataclass(slots=True)
@@ -106,6 +167,7 @@ class TraceGenerator:
         structure_seed: int | None = None,
         line_bytes: int = 64,
         target_mispredict_mpki: float | None = None,
+        block_segments: BlockSegments | None = None,
     ) -> None:
         if not cfg.functions:
             raise ConfigurationError("cannot generate a trace from an empty CFG")
@@ -114,7 +176,6 @@ class TraceGenerator:
         self._cfg = cfg
         self._seed = seed
         self._rng = random.Random(seed)
-        self._line_bytes = line_bytes
         self._target_mpki = target_mispredict_mpki
         self._phase_length = phase_length
         self._in_phase_bias = in_phase_bias
@@ -125,14 +186,15 @@ class TraceGenerator:
             target_mispredict_mpki
         )
         # The icache-line segmentation of a block is static (addresses
-        # never change), so it is computed once per block here instead of
-        # per execution in the walk; likewise the effective mispredict
-        # probability (bias x calibration multiplier, clamped).
-        self._block_segments: list[list[tuple[tuple[int, int, int, int, int], ...]]] = [
-            [self._segment_block(block) for block in function.blocks]
-            for function in cfg.functions
-        ]
-        self._block_mis_rate: list[list[float]] = []
+        # never change), so it is computed once per block instead of per
+        # execution in the walk — by the caller when it shares one CFG
+        # across generators (``block_segments``, which must be
+        # ``segment_blocks(cfg, line_bytes)``); likewise the effective
+        # mispredict probability (bias x calibration multiplier, clamped).
+        if block_segments is None:
+            block_segments = segment_blocks(cfg, line_bytes)
+        self._block_segments = block_segments
+        self._block_mis_rate: list[list[float]] = [[] for _ in cfg.functions]
         self._refresh_mis_rates()
         # Per-branch Bresenham accumulators: outcomes follow the branch's
         # bias as a deterministic periodic pattern, so both directions of
@@ -241,42 +303,7 @@ class TraceGenerator:
         if len(self._lookups) >= self._limit:
             raise _TraceComplete
 
-    def _segment_block(
-        self, block: BasicBlock
-    ) -> tuple[tuple[int, int, int, int, int], ...]:
-        """Static line-boundary segmentation of one block.
-
-        Returns ``(abs_start, uops, insts, abs_end, line)`` runs of
-        consecutive instructions whose start addresses share an icache
-        line — exactly the granularity at which the walk splits PWs.
-        """
-        line_bytes = self._line_bytes
-        addr = block.addr
-        uop_prefix = block.uop_prefix
-        segments: list[tuple[int, int, int, int, int]] = []
-        prev_end = prev_uops = 0
-        seg_start = seg_line = -1
-        seg_end = uops = insts = 0
-        for i, inst_end in enumerate(block.inst_ends):
-            inst_start = addr + prev_end
-            line = inst_start // line_bytes
-            if seg_line < 0:
-                seg_start, seg_line = inst_start, line
-            elif line != seg_line:
-                segments.append((seg_start, uops, insts, seg_end, seg_line))
-                seg_start, seg_line = inst_start, line
-                uops = insts = 0
-            uops += uop_prefix[i] - prev_uops
-            prev_uops = uop_prefix[i]
-            insts += 1
-            seg_end = addr + inst_end
-            prev_end = inst_end
-        segments.append((seg_start, uops, insts, seg_end, seg_line))
-        return tuple(segments)
-
-    def _consume_block(
-        self, segments: tuple[tuple[int, int, int, int, int], ...]
-    ) -> None:
+    def _consume_block(self, segments: tuple[Segment, ...]) -> None:
         """Append a block's instructions, splitting at line boundaries.
 
         ``segments`` is the block's precomputed static segmentation; the
@@ -302,16 +329,25 @@ class TraceGenerator:
     # --- execution ------------------------------------------------------------
 
     def _refresh_mis_rates(self) -> None:
-        """Recompute per-block mispredict probabilities.
+        """Recompute per-block mispredict probabilities, in place.
 
-        Must be re-run whenever ``_mispredict_mult`` changes (the pilot
-        calibration in :meth:`generate` rescales it between walks).
+        Must be re-run whenever ``_mispredict_mult`` changes.  The lists
+        are updated in place because running columnar walk frames hold
+        references to them when the calibration rescales mid-walk.
         """
         mult = self._mispredict_mult
-        self._block_mis_rate = [
-            [min(0.5, block.mispredict_rate * mult) for block in function.blocks]
-            for function in self._cfg.functions
-        ]
+        for rates, function in zip(self._block_mis_rate, self._cfg.functions):
+            rates[:] = [
+                min(0.5, block.mispredict_rate * mult) for block in function.blocks
+            ]
+
+    def _rescale(self, insts: int, mispredictions: int) -> None:
+        """One calibration step: scale the mispredict multiplier toward
+        the MPKI target from a measured pass (clamped to [0.05, 20])."""
+        measured = 1000.0 * mispredictions / max(1, insts)
+        if measured > 0:
+            factor = self._target_mpki / measured
+            self._mispredict_mult *= min(20.0, max(0.05, factor))
 
     def _periodic_outcome(self, key: int, bias: float) -> bool:
         """Deterministic Bresenham-style outcome with long-run rate ``bias``."""
@@ -395,6 +431,12 @@ class TraceGenerator:
         pending window (every exit path flushes it).  :meth:`_consume_block`,
         :meth:`_emit` and :meth:`_periodic_outcome` are inlined; any
         behavioural change there must be mirrored here.
+
+        Every block takes its mispredict draw, but only a block that
+        terminates a window compares it against its rate; a fall-through
+        block's draw is discarded.  Within the calibration prefix each
+        terminated window also records its draw and base rate for
+        :meth:`_calibrate_prefix`.
         """
         function = self._cfg.functions[findex]
         blocks = function.blocks
@@ -413,6 +455,9 @@ class TraceGenerator:
         bytes_col = columns.bytes_len
         flags_col = columns.flags
         limit = self._limit
+        prefix = self._calibration_len
+        record_draw = self._calibration_draws.append
+        record_rate = self._calibration_rates.append
 
         p_start = -1
         p_line = -1
@@ -421,7 +466,31 @@ class TraceGenerator:
         p_end = 0
         p_branch = False
 
-        def emit(terminated: bool, mispredicted: bool) -> None:
+        def emit_line() -> None:
+            # Line-boundary termination (never on an empty window): not
+            # a branch PW.
+            nonlocal p_start, p_line, p_uops, p_insts, p_end, p_branch
+            starts_col.append(p_start)
+            uops_col.append(p_uops)
+            insts_col.append(p_insts)
+            span = p_end - p_start
+            bytes_col.append(span if span > 0 else 1)
+            flags_col.append(FLAG_CONTAINS if p_branch else 0)
+            p_start = -1
+            p_line = -1
+            p_uops = 0
+            p_insts = 0
+            p_end = 0
+            p_branch = False
+            n = len(starts_col)
+            if n == prefix:
+                self._calibrate_prefix()
+            if n >= limit:
+                raise _TraceComplete
+
+        def emit_branch(draw: float, i: int) -> None:
+            # Terminated by block i's branch: mispredicted when the
+            # block's draw falls under its rate.
             nonlocal p_start, p_line, p_uops, p_insts, p_end, p_branch
             if p_start < 0:
                 return
@@ -430,22 +499,21 @@ class TraceGenerator:
             insts_col.append(p_insts)
             span = p_end - p_start
             bytes_col.append(span if span > 0 else 1)
-            if terminated:
-                flags = FLAG_TERMINATED | FLAG_CONTAINS
-            elif p_branch:
-                flags = FLAG_CONTAINS
-            else:
-                flags = 0
-            if mispredicted:
-                flags |= FLAG_MISPREDICTED
-            flags_col.append(flags)
+            flags_col.append(
+                _BRANCH_MISPREDICTED if draw < mis_rates[i] else _BRANCH)
             p_start = -1
             p_line = -1
             p_uops = 0
             p_insts = 0
             p_end = 0
             p_branch = False
-            if len(starts_col) >= limit:
+            n = len(starts_col)
+            if n <= prefix:
+                record_draw(draw)
+                record_rate(blocks[i].mispredict_rate)
+                if n == prefix:
+                    self._calibrate_prefix()
+            if n >= limit:
                 raise _TraceComplete
 
         p_continue = 1.0 - 1.0 / max(1.0, function.mean_iterations)
@@ -460,14 +528,14 @@ class TraceGenerator:
                         p_start = seg_start
                         p_line = line
                     elif line != p_line:
-                        emit(False, False)
+                        emit_line()
                         p_start = seg_start
                         p_line = line
                     p_uops += uops
                     p_insts += insts
                     p_end = seg_end
                 p_branch = True
-                mispredicted = rng_random() < mis_rates[i]
+                draw = rng_random()
                 # Call edge; _periodic_outcome inlined (short-circuit
                 # order preserved: the accumulator only advances when
                 # the callee/depth guard passes).
@@ -476,20 +544,20 @@ class TraceGenerator:
                     acc = acc_get(key, 0.5) + block.call_bias
                     if acc >= 1.0:
                         outcome_acc[key] = acc - 1.0
-                        emit(True, mispredicted)
+                        emit_branch(draw, i)
                         recurse(block.callee, depth + 1)
                         i += 1
                         continue
                     outcome_acc[key] = acc
                 if i == n_blocks - 1:
                     iterating = rng_random() < p_continue
-                    emit(True, mispredicted)
+                    emit_branch(draw, i)
                     break
                 key = block.addr
                 acc = acc_get(key, 0.5) + block.taken_bias
                 if acc >= 1.0:
                     outcome_acc[key] = acc - 1.0
-                    emit(True, mispredicted)
+                    emit_branch(draw, i)
                     # The skip accumulator always advances, even when
                     # the i+2 bound forbids the skip (reference
                     # evaluates _periodic_outcome first).
@@ -510,6 +578,36 @@ class TraceGenerator:
             else:
                 iterating = False
 
+    def _calibrate_prefix(self) -> None:
+        """Calibrate the branch MPKI from the walk's own prefix.
+
+        The columnar walk calls this from the emit that completes its
+        first ``_calibration_len`` lookups.  Neither the walk's control
+        flow nor its RNG draws depend on the mispredict rates (every
+        block takes exactly one mispredict draw), so each pilot walk of
+        :meth:`_generate_reference` equals this prefix except for its
+        mispredicted flags, which the recorded draws and base rates
+        re-derive at any multiplier.  Both pilot updates are replayed
+        here; the rate lists are refreshed in place (running walk frames
+        hold them) for the rest of the walk, and the prefix's
+        mispredicted flags are rewritten at the final rates.
+        """
+        columns = self._columns
+        draws = np.array(self._calibration_draws)
+        base_rates = np.array(self._calibration_rates)
+        insts = sum(columns.insts)
+        for _ in range(2):  # two passes converge well within tolerance
+            rates = np.minimum(base_rates * self._mispredict_mult, 0.5)
+            self._rescale(insts, int(np.count_nonzero(draws < rates)))
+        self._refresh_mis_rates()
+        rates = np.minimum(base_rates * self._mispredict_mult, 0.5)
+        flags = np.array(columns.flags, dtype=np.uint8)
+        branches = np.flatnonzero(flags & FLAG_TERMINATED)
+        assert len(branches) == len(draws), "calibration record out of step"
+        flags[branches] = np.where(draws < rates, _BRANCH_MISPREDICTED, _BRANCH)
+        # In place: running walk frames hold the flag column.
+        columns.flags[:] = array(columns.flags.typecode, flags.tobytes())
+
     def _reset_walk(self) -> None:
         self._rng = random.Random(self._seed)
         self._outcome_acc.clear()
@@ -517,6 +615,11 @@ class TraceGenerator:
         self._columns = TraceColumns()
         self._pending.reset()
         self._loop_cursor = 0
+        # Calibration state of the columnar walk (see _calibrate_prefix);
+        # generate() sets the prefix length.
+        self._calibration_len = 0
+        self._calibration_draws: list[float] = []
+        self._calibration_rates: list[float] = []
 
     def _walk(self, n_lookups: int, fast: bool = False) -> None:
         self._limit = n_lookups
@@ -537,54 +640,52 @@ class TraceGenerator:
         except _TraceComplete:
             pass
 
+    def _needs_calibration(self, n_lookups: int) -> bool:
+        """Validate ``n_lookups``; True when an MPKI target is set."""
+        if n_lookups <= 0:
+            raise ConfigurationError("n_lookups must be positive")
+        return self._target_mpki is not None and self._target_mpki > 0
+
     def generate(self, n_lookups: int, metadata: TraceMetadata | None = None) -> Trace:
         """Produce a trace of exactly ``n_lookups`` PW lookups.
 
-        When a misprediction-MPKI target is set, a deterministic pilot
-        walk first measures the dynamic misprediction rate (the static
-        calibration cannot see hotness skew) and rescales the per-branch
-        rates before the real walk.  Windows are emitted straight into
+        When a misprediction-MPKI target is set, the walk calibrates
+        itself: its first ``min(n_lookups, CALIBRATION_LOOKUPS)``
+        lookups measure the dynamic misprediction rate (the static
+        calibration cannot see hotness skew), the per-branch rates are
+        rescaled for the rest of the walk, and that prefix's
+        mispredicted flags are re-derived at the final rates
+        (:meth:`_calibrate_prefix`).  Windows are emitted straight into
         packed :class:`~repro.core.trace.TraceColumns`.
         """
-        return self._generate(n_lookups, metadata, fast=True)
+        calibrating = self._needs_calibration(n_lookups)
+        with stagetimer.timed("trace_walk"):
+            self._reset_walk()
+            if calibrating:
+                self._calibration_len = min(n_lookups, CALIBRATION_LOOKUPS)
+            self._walk(n_lookups, fast=True)
+        return Trace(columns=self._columns, metadata=metadata or TraceMetadata())
 
     def _generate_reference(
         self, n_lookups: int, metadata: TraceMetadata | None = None
     ) -> Trace:
-        """:meth:`generate` over the object walk (:meth:`_run_function`).
+        """:meth:`generate` over the object walk (:meth:`_run_function`),
+        calibrated by two explicit pilot walks of the prefix.
 
-        The RNG-order oracle for the columnar walk: tests assert both
-        emit the same lookup sequence.  Call it on a fresh generator —
-        the MPKI pilot rescales the branch rates in place.
+        The test oracle for the columnar walk and its single-walk
+        calibration: tests assert both emit the same lookup sequence.
+        Call it on a fresh generator — calibration rescales the branch
+        rates in place.
         """
-        return self._generate(n_lookups, metadata, fast=False)
-
-    def _generate(
-        self, n_lookups: int, metadata: TraceMetadata | None, fast: bool
-    ) -> Trace:
-        if n_lookups <= 0:
-            raise ConfigurationError("n_lookups must be positive")
-        if self._target_mpki is not None and self._target_mpki > 0:
-            with stagetimer.timed("trace_pilot"):
-                for _ in range(2):  # two passes converge well within tolerance
-                    self._reset_walk()
-                    self._walk(min(n_lookups, 12000), fast)
-                    if fast:
-                        _, insts, _, mispredictions = self._columns.totals()
-                    else:
-                        pilot = Trace(self._lookups)
-                        insts = pilot.total_instructions
-                        mispredictions = pilot.total_mispredictions
-                    measured = 1000.0 * mispredictions / max(1, insts)
-                    if measured > 0:
-                        factor = self._target_mpki / measured
-                        self._mispredict_mult *= min(20.0, max(0.05, factor))
-                        self._refresh_mis_rates()
-        with stagetimer.timed("trace_walk"):
-            self._reset_walk()
-            self._walk(n_lookups, fast)
-        if fast:
-            return Trace(columns=self._columns, metadata=metadata or TraceMetadata())
+        if self._needs_calibration(n_lookups):
+            for _ in range(2):  # two passes converge well within tolerance
+                self._reset_walk()
+                self._walk(min(n_lookups, CALIBRATION_LOOKUPS))
+                pilot = Trace(self._lookups)
+                self._rescale(pilot.total_instructions, pilot.total_mispredictions)
+                self._refresh_mis_rates()
+        self._reset_walk()
+        self._walk(n_lookups)
         return Trace(self._lookups, metadata or TraceMetadata())
 
 

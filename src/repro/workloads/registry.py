@@ -8,12 +8,18 @@ quick smoke runs; :func:`default_trace_len` reads it at call time.
 Two cache layers sit in front of generation:
 
 * an in-process LRU bounded by ``REPRO_TRACE_CACHE_CAP`` (default 16
-  traces; ``<= 0`` means unbounded) so long sweeps over many
-  (app, input, length) combinations can't grow memory without bound;
+  traces; ``<= 0`` means unbounded; read when a trace is cached) so
+  long sweeps over many (app, input, length) combinations can't grow
+  memory without bound;
 * the on-disk binary trace store in :mod:`repro.harness.artifacts`
   (``REPRO_CACHE=0`` disables it), keyed by the trace identity plus
   :data:`~repro.workloads.generator.GENERATOR_VERSION`, so cold batches
   and CI never regenerate the same trace twice.
+
+Generation itself shares one CFG per application: all inputs of an app
+run the same binary, so :func:`build_app_trace` keeps the last app's
+CFG and its static block segmentation in a one-entry memo and reuses
+it for the app's other inputs.
 """
 
 from __future__ import annotations
@@ -22,26 +28,53 @@ import os
 from collections import OrderedDict
 
 from .. import stagetimer
+from ..config import env_number
 from ..core.trace import Trace, TraceMetadata
 from .apps import AppProfile, get_profile
-from .cfg import build_cfg
-from .generator import GENERATOR_VERSION, TraceGenerator
+from .cfg import ProgramCFG, build_cfg
+from .generator import (
+    GENERATOR_VERSION,
+    BlockSegments,
+    TraceGenerator,
+    segment_blocks,
+)
 
 #: Default dynamic trace length (PW lookups) used by the experiments
 #: when ``REPRO_TRACE_LEN`` is unset.  One third is treated as warmup
 #: by the harness.
 DEFAULT_TRACE_LEN = 45000
 
-#: Max traces held in process memory (LRU eviction; ``<= 0`` = unbounded).
-TRACE_CACHE_CAP = int(os.environ.get("REPRO_TRACE_CACHE_CAP", "16"))
+#: Max traces held in process memory when ``REPRO_TRACE_CACHE_CAP`` is
+#: unset (LRU eviction; ``<= 0`` = unbounded).
+DEFAULT_TRACE_CACHE_CAP = 16
 
 _trace_cache: OrderedDict[tuple[str, str, int], Trace] = OrderedDict()
 
+#: The last application's ``(build_cfg arguments, CFG, segment_blocks
+#: of it)``, or None.  At most one CFG is ever held: the memo is emptied
+#: before a different CFG is built, and by :func:`clear_trace_cache`.
+#: Generators never write to the CFG (the MPKI calibration rescales
+#: generator-local rate lists), so sharing it across inputs is safe.
+_cfg_memo: tuple[tuple, ProgramCFG, BlockSegments] | None = None
+
 #: How get_trace satisfied requests since the last clear (observability
-#: for the CI disk-cache smoke and for cache-sizing experiments).
+#: for the CI disk-cache smoke and for cache-sizing experiments), and
+#: how often build_app_trace built or reused a CFG.
 _cache_counters = {
     "memory_hits": 0, "disk_hits": 0, "generated": 0, "evictions": 0,
+    "cfg_builds": 0, "cfg_reuses": 0,
 }
+
+
+def trace_cache_cap() -> int:
+    """The in-process LRU bound: ``REPRO_TRACE_CACHE_CAP`` or the default.
+
+    Read on every call, so a value set after import still applies; a
+    malformed value raises :class:`~repro.errors.ReproError` naming the
+    variable.
+    """
+    cap = env_number("REPRO_TRACE_CACHE_CAP", int)
+    return DEFAULT_TRACE_CACHE_CAP if cap is None else cap
 
 
 def default_trace_len() -> int:
@@ -58,21 +91,39 @@ def available_inputs(app: str) -> tuple[str, ...]:
     return tuple(inp.name for inp in get_profile(app).inputs)
 
 
+def _app_cfg(profile: AppProfile) -> tuple[ProgramCFG, BlockSegments]:
+    """The application's CFG and its block segmentation, memoized for
+    the last application built (see :data:`_cfg_memo`)."""
+    global _cfg_memo
+    args = dict(
+        seed=profile.base_seed,
+        functions=profile.functions,
+        blocks_per_function=profile.blocks_per_function,
+        insts_per_block=profile.insts_per_block,
+        mean_iterations=profile.mean_iterations,
+        call_fraction=profile.call_fraction,
+    )
+    key = tuple(args.values())
+    if _cfg_memo is not None and _cfg_memo[0] == key:
+        _cache_counters["cfg_reuses"] += 1
+        return _cfg_memo[1], _cfg_memo[2]
+    _cfg_memo = None  # release the previous CFG before building the next
+    with stagetimer.timed("cfg_build"):
+        cfg = build_cfg(**args)
+        segments = segment_blocks(cfg)
+    _cache_counters["cfg_builds"] += 1
+    _cfg_memo = (key, cfg, segments)
+    return cfg, segments
+
+
 def build_app_trace(
     profile: AppProfile, input_name: str, n_lookups: int
 ) -> Trace:
-    """Construct a trace for one application input (uncached)."""
+    """Construct a trace for one application input (no trace cache;
+    the app's CFG comes from the one-entry CFG memo)."""
     with stagetimer.timed("trace_build"):
         app_input = profile.input_named(input_name)
-        with stagetimer.timed("cfg_build"):
-            cfg = build_cfg(
-                seed=profile.base_seed,
-                functions=profile.functions,
-                blocks_per_function=profile.blocks_per_function,
-                insts_per_block=profile.insts_per_block,
-                mean_iterations=profile.mean_iterations,
-                call_fraction=profile.call_fraction,
-            )
+        cfg, segments = _app_cfg(profile)
         with stagetimer.timed("trace_setup"):
             generator = TraceGenerator(
                 cfg,
@@ -91,6 +142,7 @@ def build_app_trace(
                 phase_loop_length=profile.phase_loop_length,
                 structure_seed=profile.base_seed,
                 target_mispredict_mpki=profile.branch_mpki,
+                block_segments=segments,
             )
         metadata = TraceMetadata(
             app=profile.name,
@@ -104,8 +156,9 @@ def build_app_trace(
 def _remember(key: tuple[str, str, int], trace: Trace) -> None:
     _trace_cache[key] = trace
     _trace_cache.move_to_end(key)
-    if TRACE_CACHE_CAP > 0:
-        while len(_trace_cache) > TRACE_CACHE_CAP:
+    cap = trace_cache_cap()
+    if cap > 0:
+        while len(_trace_cache) > cap:
             _trace_cache.popitem(last=False)
             _cache_counters["evictions"] += 1
 
@@ -168,7 +221,10 @@ def trace_cache_stats() -> dict[str, int]:
 
 
 def clear_trace_cache() -> None:
-    """Drop all cached traces (tests use this to bound memory)."""
+    """Drop all cached traces and the CFG memo (tests use this to bound
+    memory)."""
+    global _cfg_memo
     _trace_cache.clear()
+    _cfg_memo = None
     for counter in _cache_counters:
         _cache_counters[counter] = 0

@@ -8,6 +8,9 @@ lookup sequences.
 
 import gc
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from repro.core.trace import (
     callable_token,
 )
 from repro.uopcache.cache import default_set_index
+from repro.workloads.apps import get_profile
 
 from .conftest import cyclic_trace as make_cyclic_trace
 from .conftest import pw
@@ -198,19 +202,62 @@ def test_load_any_sniffs_format(tmp_path):
 # --- generator fast path ------------------------------------------------------
 
 def test_generator_fastpath_bit_identical(monkeypatch):
-    """generate matches the object walk, MPKI pilot included."""
-    from repro.workloads.apps import get_profile
+    """generate matches the object walk, MPKI calibration included.
+
+    The columnar walk calibrates from its own first 12,000 lookups; the
+    object walk runs two explicit pilot walks.  Lengths at and past that
+    prefix make the rates switch at the end of, or in the middle of,
+    the walk.
+    """
     from repro.workloads.generator import TraceGenerator
     from repro.workloads.registry import build_app_trace
 
-    fast = build_app_trace(get_profile("kafka"), "default", 3000)
-    assert fast.has_columns()
+    cases = [
+        ("kafka", "default", 3000),
+        ("kafka", "alt-seed", 12000),
+        ("kafka", "mixed-load", 12001),
+        ("wordpress", "alt-seed", 12001),
+        ("wordpress", "mixed-load", 20000),
+    ]
+    fast = [build_app_trace(get_profile(app), name, n) for app, name, n in cases]
     monkeypatch.setattr(
         TraceGenerator, "generate", TraceGenerator._generate_reference)
-    reference = build_app_trace(get_profile("kafka"), "default", 3000)
-    assert not reference.has_columns()
+    for trace, (app, name, n) in zip(fast, cases):
+        reference = build_app_trace(get_profile(app), name, n)
+        assert trace.has_columns() and not reference.has_columns()
+        assert trace.total_mispredictions > 0
+        assert trace.lookups == reference.lookups, (app, name, n)
+        assert trace.metadata == reference.metadata
+
+
+def test_generator_uncalibrated_matches_object_walk():
+    """generate_trace without an MPKI target never calibrates."""
+    from repro.workloads.cfg import build_cfg
+    from repro.workloads.generator import TraceGenerator, generate_trace
+
+    cfg = build_cfg(seed=11, functions=60, blocks_per_function=(3, 8),
+                    insts_per_block=(3, 9), mean_iterations=2.0)
+    fast = generate_trace(cfg, 13000, seed=5, target_mispredict_mpki=None)
+    reference = TraceGenerator(cfg, seed=5)._generate_reference(13000)
     assert fast.lookups == reference.lookups
-    assert fast.metadata == reference.metadata
+
+
+def test_generator_zero_measured_mpki_keeps_multiplier():
+    """A CFG whose prefix never mispredicts leaves the multiplier alone."""
+    from repro.workloads.cfg import build_cfg
+    from repro.workloads.generator import TraceGenerator
+
+    cfg = build_cfg(seed=12, functions=40, blocks_per_function=(3, 7),
+                    insts_per_block=(3, 8), mean_iterations=2.0)
+    for function in cfg.functions:
+        for block in function.blocks:
+            block.mispredict_rate = 0.0
+    fast_gen = TraceGenerator(cfg, seed=8, target_mispredict_mpki=3.0)
+    ref_gen = TraceGenerator(cfg, seed=8, target_mispredict_mpki=3.0)
+    fast = fast_gen.generate(12500)
+    assert fast.lookups == ref_gen._generate_reference(12500).lookups
+    assert fast.total_mispredictions == 0
+    assert fast_gen._mispredict_mult == ref_gen._mispredict_mult == 1.0
 
 
 # --- registry caches ----------------------------------------------------------
@@ -219,7 +266,7 @@ def test_trace_cache_lru_bound(monkeypatch):
     from repro.workloads import registry
 
     registry.clear_trace_cache()
-    monkeypatch.setattr(registry, "TRACE_CACHE_CAP", 2)
+    monkeypatch.setenv("REPRO_TRACE_CACHE_CAP", "2")
     for length in (500, 600, 700):
         registry.get_trace("kafka", "default", length)
     assert len(registry._trace_cache) == 2
@@ -230,14 +277,91 @@ def test_trace_cache_lru_bound(monkeypatch):
     registry.clear_trace_cache()
 
 
+def test_trace_cache_cap_read_at_use(monkeypatch):
+    """REPRO_TRACE_CACHE_CAP is parsed when used, not at import."""
+    from repro.errors import ReproError
+    from repro.workloads import registry
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE_CAP", "3")
+    assert registry.trace_cache_cap() == 3
+    monkeypatch.setenv("REPRO_TRACE_CACHE_CAP", "abc")
+    with pytest.raises(ReproError, match="REPRO_TRACE_CACHE_CAP"):
+        registry.trace_cache_cap()
+    monkeypatch.delenv("REPRO_TRACE_CACHE_CAP")
+    assert registry.trace_cache_cap() == registry.DEFAULT_TRACE_CACHE_CAP
+
+
+def test_malformed_trace_cache_cap_does_not_break_import():
+    env = dict(os.environ, REPRO_TRACE_CACHE_CAP="abc",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "list"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "ValueError" not in result.stderr
+
+
+def test_cfg_built_once_per_app(monkeypatch):
+    """An app's inputs share one CFG; a different app replaces it."""
+    from repro.workloads import registry
+
+    built = []
+    real_build = registry.build_cfg
+
+    def counting_build(**kwargs):
+        # The memo is emptied before a different CFG is built, so at
+        # most one CFG is ever held.
+        assert registry._cfg_memo is None
+        built.append(kwargs["seed"])
+        return real_build(**kwargs)
+
+    monkeypatch.setattr(registry, "build_cfg", counting_build)
+    registry.clear_trace_cache()
+    for input_name in ("default", "alt-seed", "mixed-load"):
+        registry.build_app_trace(get_profile("kafka"), input_name, 600)
+    assert len(built) == 1
+    stats = registry.trace_cache_stats()
+    assert (stats["cfg_builds"], stats["cfg_reuses"]) == (1, 2)
+    kafka_cfg = registry._cfg_memo[1]
+    registry.build_app_trace(get_profile("postgres"), "default", 600)
+    assert len(built) == 2
+    assert registry._cfg_memo[1] is not kafka_cfg
+    registry.clear_trace_cache()
+    assert registry._cfg_memo is None
+
+
+def test_generation_leaves_shared_cfg_untouched():
+    """Calibration rescales generator-local rates, never a BasicBlock."""
+    import copy
+
+    from repro.workloads import registry
+
+    registry.clear_trace_cache()
+    registry.build_app_trace(get_profile("tomcat"), "default", 500)
+    _, cfg, segments = registry._cfg_memo
+    before = copy.deepcopy(cfg)
+    segments_before = copy.deepcopy(segments)
+    for input_name in ("alt-seed", "mixed-load"):
+        registry.build_app_trace(get_profile("tomcat"), input_name, 13000)
+    assert registry._cfg_memo[1] is cfg
+    assert cfg == before
+    assert segments == segments_before
+    registry.clear_trace_cache()
+
+
 def test_clear_memory_cache_clears_traces():
     from repro.harness.runner import clear_memory_cache
     from repro.workloads import registry
 
+    registry.clear_trace_cache()
     registry.get_trace("kafka", "default", 400)
     assert registry._trace_cache
+    registry.build_app_trace(get_profile("kafka"), "alt-seed", 400)
+    assert registry._cfg_memo is not None
     clear_memory_cache()
     assert not registry._trace_cache
+    assert registry._cfg_memo is None
 
 
 def test_disk_trace_cache_hit(tmp_path, monkeypatch):

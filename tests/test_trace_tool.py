@@ -36,15 +36,19 @@ class TestTraceTool:
                   for line in out.splitlines() if "#" in line and ":" in line]
         assert 95.0 < sum(shares) < 105.0
 
-    def test_inspect_cache_stats(self, capsys):
+    def test_inspect_cache_stats(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "0")  # count generation, not disk hits
         clear_trace_cache()
         get_trace("kafka", n_lookups=600)
         get_trace("kafka", n_lookups=600)
+        get_trace("kafka", "alt-seed", n_lookups=600)
         assert main(["inspect", "--cache-stats"]) == 0
         out = capsys.readouterr().out
         assert "memory hits        : 1" in out
         assert "generated (misses) :" in out
         assert "LRU evictions      : 0" in out
+        assert "CFG builds         : 1" in out
+        assert "CFG reuses         : 1" in out
         clear_trace_cache()
 
     def test_inspect_without_trace_or_flag_errors(self, capsys):
