@@ -162,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.apps:
         os.environ["REPRO_APPS"] = args.apps
-    if args.trace_len:
+    if args.trace_len is not None:
         os.environ["REPRO_TRACE_LEN"] = str(args.trace_len)
     if args.jobs:
         os.environ["REPRO_JOBS"] = str(args.jobs)

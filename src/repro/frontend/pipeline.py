@@ -333,12 +333,15 @@ class FrontendPipeline:
         kinds plus the offline and profile-guided families — Belady,
         FOO/FLACK replay, FURBYS, Thermometer — with or without per-PW
         hit-rate recording) run the vectorized :mod:`repro.frontend.simd`
-        kernel through :func:`repro.frontend.simd.run_kernel`;
-        everything else runs :meth:`run_reference`, counting the reason
-        under a ``sim_fallback:<policy>:<reason>`` fallback counter.
-        The kernel is bit-identical to :meth:`run_reference` — see
-        ``tests/test_golden_stats.py``, ``tests/test_sim_kernel.py``
-        and ``tests/test_offline_kernel.py``.
+        kernel, one template for every kind, through
+        :func:`repro.frontend.simd.run_kernel`; everything else runs
+        :meth:`run_reference`, counting the reason under a
+        ``sim_fallback:<policy>:<reason>`` fallback counter.  The kernel
+        is bit-identical to :meth:`run_reference` — see
+        ``tests/test_golden_stats.py``, ``tests/test_sim_kernel.py``,
+        ``tests/test_offline_kernel.py`` and
+        ``tests/test_kernel_driver.py`` (every kind with each config
+        flag flipped).
         """
         from . import simd
 

@@ -51,9 +51,10 @@ The kernel splits the simulation into:
   the ranking sorts and bisects, not the call.
 
 There is one :class:`_Kernel` with one ``_segment`` and one ``_attempt``
-template for all nine kinds.  Each run executes variants compiled with
-its run-constant flags baked in (:func:`_specialized`), so no
-cross-kind branch is left in the hot loop.
+for all nine kinds.  The kind and the run-constant config flags are
+plain locals, read once per segment (``_segment``) or unpacked from one
+tuple built at construction (``_attempt``); every run executes exactly
+the code that is read and tested.
 
 Bit-identity: the kernel replicates the reference event order exactly —
 insertion completions before the policy's lookup hook, bypass
@@ -66,10 +67,10 @@ touched once per event, so mirroring costs what the records would).
 ``tests/test_sim_kernel.py`` and ``tests/test_offline_kernel.py`` sweep
 geometries, policies and trace lengths against
 :meth:`FrontendPipeline.run_reference`.  :func:`run_kernel` is the one
-kernel entry: it advances one pipeline through its flag-specialized
-segment, window by window.
+kernel entry: it advances one pipeline through ``_segment``, window by
+window.
 
-Unsupported configurations (policies without a specialization, miss
+Unsupported configurations (policies without a kernel kind, miss
 classification, perfect uop cache) run
 :meth:`FrontendPipeline.run_reference` instead, counted per (policy,
 reason) by the ``sim_fallback:*`` resilience counters — see
@@ -78,6 +79,7 @@ reason) by the ``sim_fallback:*`` resilience counters — see
 
 from __future__ import annotations
 
+import gc as _gc
 from bisect import bisect_right
 from collections import deque
 from typing import TYPE_CHECKING
@@ -85,7 +87,6 @@ from typing import TYPE_CHECKING
 import numpy as _np
 
 from .. import stagetimer
-from ._specialize import compile_flagged, gc_paused as _gc_paused
 from ..core.pw import StoredPW
 from ..core.stats import SimulationStats
 from ..core.trace import (
@@ -154,6 +155,26 @@ def _inline_shuffle_matches_stdlib() -> bool:
 
 _INLINE_SHUFFLE = _inline_shuffle_matches_stdlib()
 
+
+def gc_paused(fn):
+    """Run ``fn`` with the cyclic collector paused, restoring it after.
+
+    Building the columns materializes millions of tracked containers at
+    once; with the collector live, each generation pass re-scans every
+    survivor while the build keeps allocating, which turns an O(n) build
+    into something closer to O(n^2 / threshold) at 1M-lookup scale.  The
+    column data is acyclic, so pausing costs nothing in reclaimed memory.
+    """
+    enabled = _gc.isenabled()
+    if enabled:
+        _gc.disable()
+    try:
+        return fn()
+    finally:
+        if enabled:
+            _gc.enable()
+
+
 #: Resident-PW record layout (plain list — no object churn).
 # Resident-record layout.  Fields 8+ carry the policy state that the
 # policy objects keep in their own dicts; during the kernel run the
@@ -178,12 +199,12 @@ _REPLACEMENT, _INCLUSIVE, _UPGRADE = range(3)
 
 
 def kernel_kind(policy: object) -> str | None:
-    """The kernel specialization for ``policy``, or None if unsupported.
+    """The kernel kind for ``policy``, or None if unsupported.
 
     Exact-type checks on purpose: a subclass may override hooks the
     kernel inlines, which would silently diverge from the reference.
     (FOO/FLACK only override ``__init__`` of
-    :class:`OfflineReplayPolicy`, so they share its specializations.)
+    :class:`OfflineReplayPolicy`, so they share its kinds.)
     """
     tp = type(policy)
     if tp is LRUPolicy:
@@ -264,7 +285,7 @@ def _window_columns(pipeline: "FrontendPipeline", trace: "Trace",
     set_index_fn = pipeline.uop_cache._set_index
 
     def build():
-        return _gc_paused(lambda: _build_columns(
+        return gc_paused(lambda: _build_columns(
             trace, set_index_fn=set_index_fn, lo=lo, hi=hi, **geometry))
 
     if hi - lo < len(trace):
@@ -298,7 +319,7 @@ def run_kernel(pipeline: "FrontendPipeline", trace: "Trace",
 
         kernel = _Kernel(
             pipeline, _window_columns(pipeline, trace, 0, min(n, window)), n)
-        segment = kernel.segment_fn.__get__(kernel)
+        segment = kernel._segment
 
         def advance():
             for lo in range(0, max(n, 1), window):
@@ -320,7 +341,7 @@ def run_kernel(pipeline: "FrontendPipeline", trace: "Trace",
         # list records), so the cyclic collector can only cost time
         # here: every gen-2 pass re-scans the column pointers while the
         # loop's record churn keeps triggering collections.
-        _gc_paused(advance)
+        gc_paused(advance)
         kernel._sync_back()
         return pipeline._finalize(n)
 
@@ -531,7 +552,7 @@ class _Kernel:
 
         # Live offline policy dicts.  Unused kinds get empty
         # placeholders so the segment's unconditional alias hoists stay
-        # valid under specialization.
+        # valid.
         self.interval_start: dict[int, int] = {}
         self.pending_lookup_t: dict[int, int] = {}
         self.o_last_use: dict[int, int] = {}
@@ -656,18 +677,16 @@ class _Kernel:
         self.st_evictions = 0
         self.st_evicted_entries = 0
 
-        # The flag-specialized variants this run executes, or the
-        # generic templates if compilation is unavailable.  Kept as
-        # plain functions (called with the kernel as first argument):
-        # a bound method stored on the kernel would make it a cycle.
-        # The online kinds call _attempt only from the drain, a few
-        # times per run, so they skip its compile.
-        flags = self._spec_flags()
-        self.segment_fn = (_specialized("_segment", flags)
-                           or _Kernel._segment)
-        attempt = (None if kind in _ONLINE_KINDS
-                   else _specialized("_attempt", flags))
-        self.attempt_fn = attempt or _Kernel._attempt
+        # The run-constant flags _attempt branches on, computed once
+        # here: the offline kinds call it once per insertion.
+        self.attempt_flags = (
+            kind == "lru", kind == "srrip", kind == "ghrp",
+            kind == "belady", kind == "plan", kind == "greedy",
+            kind == "furbys", kind == "thermometer",
+            self.start_identity, self.async_aware,
+            self.metric_mode == 0, self.metric_mode == 1,
+            self.keep_larger,
+        )
 
     # --- orchestration -------------------------------------------------------
 
@@ -677,34 +696,6 @@ class _Kernel:
         # Loop indices subtract ``col_base`` at every column read.
         self.col_base = columns["base"]
         self.hist = columns["hist"]
-
-    def _spec_flags(self) -> dict:
-        """Run-constant flags the specialized variants bake in."""
-        kind = self.kind
-        return {
-            "is_lru": kind == "lru",
-            "is_srrip": kind == "srrip",
-            "is_ghrp": kind == "ghrp",
-            "is_belady": kind == "belady",
-            "is_plan": kind == "plan",
-            "is_greedy": kind == "greedy",
-            "is_replay": kind in ("plan", "greedy"),
-            "is_furbys": kind == "furbys",
-            "is_thermo": kind == "thermometer",
-            "rec_stamps": kind in ("lru", "srrip"),
-            "dict_stamps": kind in ("furbys", "thermometer"),
-            "inline_attempt": kind in _ONLINE_KINDS,
-            "has_phs": self.has_phs,
-            "start_identity": self.start_identity,
-            "async_aware": self.async_aware,
-            "metric0": self.metric_mode == 0,
-            "metric1": self.metric_mode == 1,
-            "keep_larger": self.keep_larger,
-            "has_hints": bool(self.pipeline.accumulator._hints),
-            "perfect_icache": self.pipeline.config.perfect_icache,
-            "inclusive": self.inclusive,
-            "inline_shuffle": _INLINE_SHUFFLE,
-        }
 
     def _rebuild_policy_dicts(self) -> None:
         """Refill the live policy dicts from the resident records.
@@ -763,7 +754,7 @@ class _Kernel:
         in_flight = self.in_flight
         starts_l = self.cols["starts"]
         delay = self.delay
-        attempt = self.attempt_fn
+        attempt = self._attempt
         # Pending entries are scheduling indices: due = m + delay and
         # start = starts[m] are both derivable, so nothing else is stored.
         while pending and pending[0] + delay <= now:
@@ -771,7 +762,7 @@ class _Kernel:
             request = in_flight.pop(start, None)
             if request is None:
                 continue
-            attempt(self, now, start, request)
+            attempt(now, start, request)
         stats = self.pipeline.stats
         stats.insertion_attempts += self.st_attempts
         stats.insertions += self.st_insertions
@@ -917,10 +908,9 @@ class _Kernel:
 
         The reference splits this across ``try_insert`` plus the
         policy's ``should_bypass`` / ``choose_victims`` / ``on_evict``
-        hooks; here the whole decision is one straight-line body so the
-        per-kind specialization (module tail) prunes every cross-kind
-        branch and the bypass-check ranking doubles as the victim order
-        without a handoff.  The offline ranking loops never materialize
+        hooks; here the whole decision is one straight-line body, so the
+        bypass-check ranking doubles as the victim order without a
+        handoff.  The offline ranking loops never materialize
         a candidate list: they iterate ``cset`` directly (dict order ==
         residency order), skipping ``skip`` (the same-start entry being
         upgraded); the unique running index ``i`` breaks sort ties in
@@ -932,20 +922,9 @@ class _Kernel:
         :meth:`_rebuild_policy_dicts`: SRRIP values are absolute and
         the policy dicts are live by then.
         """
-        kind = self.kind
-        is_lru = kind == "lru"
-        is_srrip = kind == "srrip"
-        is_ghrp = kind == "ghrp"
-        is_belady = kind == "belady"
-        is_plan = kind == "plan"
-        is_greedy = kind == "greedy"
-        is_furbys = kind == "furbys"
-        is_thermo = kind == "thermometer"
-        start_identity = self.start_identity
-        async_aware = self.async_aware
-        metric0 = self.metric_mode == 0
-        metric1 = self.metric_mode == 1
-        keep_larger = self.keep_larger
+        (is_lru, is_srrip, is_ghrp, is_belady, is_plan, is_greedy,
+         is_furbys, is_thermo, start_identity, async_aware, metric0,
+         metric1, keep_larger) = self.attempt_flags
 
         self.st_attempts += 1
         uops = request[0]
@@ -1447,8 +1426,9 @@ class _Kernel:
     def _segment(self, begin: int, end: int) -> None:
         """Simulate lookups ``[begin, end)`` into ``pipeline.stats``.
 
-        The generic template of every kind's loop: runs execute the
-        variant compiled with their flags baked in (module tail).
+        Every kind runs this one loop.  The kind and config flags are
+        read into locals once per segment, so a cross-kind test costs
+        one local load and branch per lookup.
         """
         pipeline = self.pipeline
         stats = pipeline.stats
@@ -1524,7 +1504,7 @@ class _Kernel:
         in_flight_get = in_flight.get
         in_flight_pop = in_flight.pop
         in_flight_setdefault = in_flight.setdefault
-        attempt = self.attempt_fn
+        attempt = self._attempt
         rank = self._rank
         remove = self._remove
 
@@ -1599,7 +1579,7 @@ class _Kernel:
                     if request is None:
                         continue  # superseded and already completed
                     if not inline_attempt:
-                        attempt(self, now, queued_start, request)
+                        attempt(now, queued_start, request)
                         continue
                     # --- inlined insertion attempt; the _attempt
                     # method is the readable reference for this
@@ -2205,64 +2185,3 @@ class _Kernel:
         self.ic_misses += ic_miss
         self.accumulated += accumulated
         self.on_uop_path = on_uop_path
-
-
-# --- per-kind loop specialization ---------------------------------------------
-
-#: Run-constant flags baked into the specialized variants of each
-#: template.  The kind flags prune the cross-kind branches; the config
-#: flags (hints, icache, inclusion, keep-larger, and the replay policy's
-#: identity mode, asynchrony and metric) fold their per-event tests away.
-_SPEC_NAMES = {
-    "_segment": ("is_lru", "is_srrip", "is_ghrp", "is_replay", "is_furbys",
-                 "rec_stamps", "dict_stamps", "inline_attempt", "has_phs",
-                 "keep_larger", "has_hints", "perfect_icache", "inclusive",
-                 "inline_shuffle"),
-    "_attempt": ("is_lru", "is_srrip", "is_ghrp", "is_belady", "is_plan",
-                 "is_greedy", "is_furbys", "is_thermo", "start_identity",
-                 "async_aware", "metric0", "metric1", "keep_larger"),
-}
-#: Compiled variants keyed by (template, flag tuple); None means
-#: compilation was unavailable.
-_spec_cache: dict[tuple, object] = {}
-#: One-element caches for each template's extracted source.
-_spec_templates: dict[str, list[str]] = {name: [] for name in _SPEC_NAMES}
-
-
-def _specialized(method: str, flags: dict):
-    """Cached ``_Kernel.<method>`` with ``flags`` baked in (None on failure).
-
-    Delegates the source transformation to
-    :mod:`repro.frontend._specialize` and compiles in-process; any
-    failure falls back to the generic template.
-    """
-    names = _SPEC_NAMES[method]
-    key = (method, *(bool(flags[n]) for n in names))
-    if key not in _spec_cache:
-        try:
-            _spec_cache[key] = compile_flagged(
-                getattr(_Kernel, method), names, flags,
-                new_name=f"{method}_spec", namespace=globals(),
-                prefix=method.lstrip("_"), template=_spec_templates[method],
-            )
-        except Exception:  # pragma: no cover - source unavailable
-            _spec_cache[key] = None
-    return _spec_cache[key]
-
-
-#: Cumulative evictions via :func:`clear_segment_cache`.
-_spec_evictions = 0
-
-
-def segment_cache_stats() -> dict[str, int]:
-    """Resident and cumulatively evicted compiled variants."""
-    return {"entries": len(_spec_cache), "evicted": _spec_evictions}
-
-
-def clear_segment_cache() -> int:
-    """Drop the compiled specialized variants (cache maintenance)."""
-    global _spec_evictions
-    dropped = len(_spec_cache)
-    _spec_evictions += dropped
-    _spec_cache.clear()
-    return dropped

@@ -24,7 +24,7 @@ from ..profiling import profile_application
 from ..profiling.hints import build_hints
 from ..timing.model import TimingModel
 from ..workloads.apps import app_names
-from ..workloads.registry import default_trace_len, get_trace
+from ..workloads.registry import env_trace_len, get_trace
 from .parallel import run_many
 from .reporting import mean, percent
 from .runner import RunRequest, run
@@ -953,8 +953,7 @@ def abl_online_scale(trace_len: int = 1_000_000) -> dict:
     ``REPRO_TRACE_LEN`` still wins when set, so smoke runs stay
     smoke-sized.
     """
-    if os.environ.get("REPRO_TRACE_LEN"):
-        trace_len = default_trace_len()
+    trace_len = env_trace_len() or trace_len
     result = _miss_reduction_matrix(
         ("srrip", "random", "ghrp"), trace_len=trace_len
     )
@@ -970,17 +969,15 @@ def abl_offline_scale(trace_len: int = 1_000_000) -> dict:
     Thermometer policies.  These were previously too slow to run at
     production scale — each lookup pays future-index or hint/RRPV
     bookkeeping on top of the cache model — but the simulation
-    kernel's offline specializations (:mod:`repro.frontend.simd`)
-    replay them columnar, so million-lookup traces are this figure's
-    default.
+    kernel's offline kinds (:mod:`repro.frontend.simd`) replay them
+    columnar, so million-lookup traces are this figure's default.
     It re-checks the FLACK-bound / FURBYS / Thermometer miss-reduction
     ordering (Figures 5 and 8) at ~22x the default length.
 
     ``REPRO_TRACE_LEN`` still wins when set, so smoke runs stay
     smoke-sized.
     """
-    if os.environ.get("REPRO_TRACE_LEN"):
-        trace_len = default_trace_len()
+    trace_len = env_trace_len() or trace_len
     result = _miss_reduction_matrix(
         ("belady", "flack", "furbys", "thermometer"), trace_len=trace_len
     )

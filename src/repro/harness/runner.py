@@ -160,13 +160,11 @@ def clear_memory_cache() -> None:
     Beyond the result/profile/artifact/trace caches this also evicts
     the simd column-pass memos still held by live traces (the registry
     LRU keeps traces alive for callers holding references, so their
-    ``_derived`` entries would otherwise survive a "cache clear") and
-    the compiled kernel-variant cache.
+    ``_derived`` entries would otherwise survive a "cache clear").
     Each eviction is counted — ``repro trace inspect --cache-stats``
     reports the cumulative totals.
     """
     from ..core.trace import drop_simd_memos
-    from ..frontend import simd
 
     _memory_cache.clear()
     _profile_cache.clear()
@@ -174,7 +172,6 @@ def clear_memory_cache() -> None:
     clear_artifact_caches()
     clear_trace_cache()
     drop_simd_memos()
-    simd.clear_segment_cache()
 
 
 # --- policy construction -----------------------------------------------------

@@ -318,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if getattr(args, "apps", None):
         os.environ["REPRO_APPS"] = args.apps
-    if getattr(args, "trace_len", None):
+    if getattr(args, "trace_len", None) is not None:
         os.environ["REPRO_TRACE_LEN"] = str(args.trace_len)
     if getattr(args, "jobs", None):
         os.environ["REPRO_JOBS"] = str(args.jobs)

@@ -24,12 +24,12 @@ it for the app's other inputs.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 from .. import stagetimer
 from ..config import env_number
 from ..core.trace import Trace, TraceMetadata
+from ..errors import ReproError
 from .apps import AppProfile, get_profile
 from .cfg import ProgramCFG, build_cfg
 from .generator import (
@@ -77,13 +77,26 @@ def trace_cache_cap() -> int:
     return DEFAULT_TRACE_CACHE_CAP if cap is None else cap
 
 
+def env_trace_len() -> int | None:
+    """``REPRO_TRACE_LEN`` as a positive int, None when unset or blank.
+
+    A malformed or non-positive value raises
+    :class:`~repro.errors.ReproError` naming the variable.
+    """
+    n = env_number("REPRO_TRACE_LEN", int)
+    if n is not None and n <= 0:
+        raise ReproError(f"REPRO_TRACE_LEN={n} must be positive")
+    return n
+
+
 def default_trace_len() -> int:
     """The experiments' trace length: ``REPRO_TRACE_LEN`` or the default.
 
     Read on every call, so a value set after import (``repro
-    --trace-len``) still applies.
+    --trace-len``) still applies; see :func:`env_trace_len`.
     """
-    return int(os.environ.get("REPRO_TRACE_LEN", DEFAULT_TRACE_LEN))
+    n = env_trace_len()
+    return DEFAULT_TRACE_LEN if n is None else n
 
 
 def available_inputs(app: str) -> tuple[str, ...]:

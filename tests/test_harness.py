@@ -442,6 +442,37 @@ class TestCli:
         assert "python3 -m bench" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_trace_len_flag_names_the_variable(
+            self, monkeypatch, value):
+        from repro.cli import main
+        from repro.errors import ReproError
+
+        # main() writes these; registering them restores them afterwards.
+        monkeypatch.setenv("REPRO_TRACE_LEN", "45000")
+        monkeypatch.setenv("REPRO_APPS", "kafka")
+        with pytest.raises(ReproError, match="REPRO_TRACE_LEN"):
+            main(["fig5", "--apps", "kafka", "--trace-len", value])
+
+    @pytest.mark.parametrize("name", ["abl_online_scale",
+                                      "abl_offline_scale"])
+    def test_scale_ablations_read_trace_len_like_the_default(
+            self, monkeypatch, name):
+        from repro.errors import ReproError
+        from repro.harness import experiments
+
+        monkeypatch.setattr(experiments, "_miss_reduction_matrix",
+                            lambda arms, trace_len: {})
+        ablation = getattr(experiments, name)
+        monkeypatch.setenv("REPRO_TRACE_LEN", " ")
+        assert ablation()["trace_len"] == 1_000_000
+        monkeypatch.setenv("REPRO_TRACE_LEN", "2000")
+        assert ablation()["trace_len"] == 2000
+        for value in ("abc", "0", "-5"):
+            monkeypatch.setenv("REPRO_TRACE_LEN", value)
+            with pytest.raises(ReproError, match="REPRO_TRACE_LEN"):
+                ablation()
+
     def test_trace_len_flag_sets_the_default_trace_length(self, monkeypatch):
         """``--trace-len`` reaches requests that use the default length,
         although the CLI imports the experiments before parsing flags."""

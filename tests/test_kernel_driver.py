@@ -1,4 +1,4 @@
-"""The kernel driver: column windows, specialization, cache maintenance.
+"""The kernel driver: column windows, the kernel template, cache clears.
 
 Every kernel run goes through :func:`repro.frontend.simd.run_kernel`.
 Its column windows must be invisible except for peak memory: a
@@ -7,12 +7,9 @@ matches :meth:`FrontendPipeline.run_reference`.  The window-boundary
 suite shrinks ``STREAM_WINDOW`` so short traces cross window edges,
 and checks that a streamed trace memoizes no columns.
 
-Runs execute flag-specialized variants of the kernel's generic
-``_segment`` / ``_attempt`` templates.  The template suite runs every
-kind on the generic templates against the reference, checks that every
-kind's flags compile to a variant (a silent fall back to the generic
-loop would otherwise go unnoticed), and unit-tests
-:func:`~repro.frontend._specialize.compile_flagged`.
+Every kind runs the one ``_segment`` / ``_attempt`` template, whose
+run-constant config flags are live branches.  The template suite runs
+all nine kinds against the reference with each of those flags flipped.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from repro import stagetimer
 from repro.config import preset
 from repro.core.trace import memo_census
 from repro.frontend import simd
-from repro.frontend._specialize import compile_flagged
 from repro.frontend.pipeline import FrontendPipeline
 from repro.harness.parallel import run_batch
 from repro.harness.runner import RunRequest, clear_memory_cache
@@ -62,14 +58,9 @@ def test_streaming_window_matches_monolithic(monkeypatch):
 
 def test_clear_memory_cache_drops_sim_caches():
     _run_cold(_requests("kafka", 1000, ("lru", "belady")))
-    # Two segment variants and Belady's attempt variant.
-    assert simd.segment_cache_stats()["entries"] >= 3
     assert memo_census()["entries"] >= 1
-    before = simd.segment_cache_stats()["evicted"]
     clear_memory_cache()
-    assert simd.segment_cache_stats()["entries"] == 0
     assert memo_census()["entries"] == 0
-    assert simd.segment_cache_stats()["evicted"] >= before + 3
 
 
 # --- window boundaries --------------------------------------------------------
@@ -146,14 +137,34 @@ def test_window_boundaries_match_reference(n, warmup, monkeypatch):
         assert len(_simd_memos(trace)) == 1
 
 
-# --- the generic templates ----------------------------------------------------
+# --- the kernel template ------------------------------------------------------
 
 #: Every kernel kind.
 KINDS = ("lru", "srrip", "random", "ghrp", "belady", "plan", "greedy",
          "furbys", "thermometer")
 
+#: The run-constant config flags the template branches on, each
+#: flipped from its zen3 default ("default" flips none).
+FLAGS = ("default", "perfect_icache", "non_inclusive", "no_keep_larger",
+         "perfect_btb", "record_hit_rates")
 
-def _kind_pipeline(kind: str, trace, config) -> FrontendPipeline:
+
+def _flag_config(flag: str):
+    """The parity suite's small zen3 geometry with ``flag`` flipped."""
+    config = preset("zen3").with_uop_cache(entries=32, ways=4)
+    if flag == "perfect_icache":
+        return config.with_perfect("icache")
+    if flag == "perfect_btb":
+        return config.with_perfect("btb")
+    if flag == "non_inclusive":
+        return config.with_uop_cache(inclusive_with_icache=False)
+    if flag == "no_keep_larger":
+        return config.with_uop_cache(keep_larger=False)
+    return config
+
+
+def _kind_pipeline(kind: str, trace, config, *,
+                   record_hit_rates: bool = False) -> FrontendPipeline:
     """A fresh pipeline whose policy has kernel kind ``kind``.
 
     FURBYS hints and Thermometer classes are synthetic functions of the
@@ -175,70 +186,33 @@ def _kind_pipeline(kind: str, trace, config) -> FrontendPipeline:
     else:
         policy = ThermometerPolicy({start: start % 3 for start in starts})
     assert simd.kernel_kind(policy) == kind
-    return FrontendPipeline(config, policy, hints=hints)
+    return FrontendPipeline(config, policy, hints=hints,
+                            record_hit_rates=record_hit_rates)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_generic_templates_match_reference(kind, monkeypatch):
-    """With no compiled variant, the generic ``_segment``/``_attempt``
-    templates run and stay bit-identical to the reference loop."""
-    monkeypatch.setattr(simd, "_specialized", lambda method, flags: None)
-    config = preset("zen3").with_uop_cache(entries=32, ways=4)
+#: Every kind with every flag; the zen3 defaults keep the bare kind id.
+PARITY_CASES = [
+    pytest.param(kind, flag, id=kind if flag == "default" else f"{kind}-{flag}")
+    for flag in FLAGS for kind in KINDS
+]
+
+
+@pytest.mark.parametrize("kind,flag", PARITY_CASES)
+def test_generic_templates_match_reference(kind, flag):
+    """Every kind, with each config flag flipped, runs the kernel and
+    stays bit-identical to the reference loop (stats and per-PW hit
+    rates)."""
+    config = _flag_config(flag)
+    record = flag == "record_hit_rates"
     trace = get_trace("kafka", "default", 3000)
 
-    pipeline = _kind_pipeline(kind, trace, config)
+    pipeline = _kind_pipeline(kind, trace, config, record_hit_rates=record)
+    assert simd.fallback_reason(pipeline) is None
     with stagetimer.capture() as stages:
         stats = pipeline.run(trace, warmup=1000)
     assert stages.get("sim_kernel_calls")
-    reference = _kind_pipeline(kind, trace, config)
-    assert dataclasses.asdict(stats) == dataclasses.asdict(
-        reference.run_reference(trace, warmup=1000))
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_every_kind_compiles_its_variants(kind):
-    """Each kind's flag set compiles to a segment and an attempt
-    variant; None here means runs silently use the generic loop."""
-    config = preset("zen3").with_uop_cache(entries=32, ways=4)
-    trace = get_trace("kafka", "default", 1000)
-    pipeline = _kind_pipeline(kind, trace, config)
-    kernel = simd._Kernel(
-        pipeline, simd._window_columns(pipeline, trace, 0, len(trace)),
-        len(trace))
-    flags = kernel._spec_flags()
-    assert simd._specialized("_segment", flags) is not None
-    assert simd._specialized("_attempt", flags) is not None
-    assert kernel.segment_fn is not simd._Kernel._segment
-    # The online kinds run the generic attempt (drain-time only).
-    online = kind in ("lru", "srrip", "random", "ghrp")
-    assert (kernel.attempt_fn is simd._Kernel._attempt) == online
-
-
-class _Probe:
-    """A template for the compile_flagged unit tests."""
-
-    def __init__(self) -> None:
-        self.fast = "attribute"
-
-    def method(self):
-        fast = self.fast == "attribute"
-        return fast, self.fast
-
-
-def _compile_probe(spec_names, flags):
-    return compile_flagged(_Probe.method, spec_names, flags,
-                           new_name="method_spec", namespace={},
-                           prefix="probe", template=[])
-
-
-def test_compile_flagged_substitutes_bare_names_only():
-    """``self.fast`` keeps its attribute name; bare ``fast`` becomes
-    the literal."""
-    variant = _compile_probe(("fast",), {"fast": False})
-    assert variant(_Probe()) == (False, "attribute")
-    assert _Probe().method() == (True, "attribute")
-
-
-def test_compile_flagged_rejects_a_flag_without_assignment():
-    with pytest.raises(ValueError, match="slow"):
-        _compile_probe(("fast", "slow"), {"fast": True, "slow": False})
+    reference = _kind_pipeline(kind, trace, config, record_hit_rates=record)
+    assert _outcome(pipeline, stats) == _outcome(
+        reference, reference.run_reference(trace, warmup=1000))
+    if record:
+        assert pipeline.pw_hit_stats

@@ -291,6 +291,26 @@ def test_trace_cache_cap_read_at_use(monkeypatch):
     assert registry.trace_cache_cap() == registry.DEFAULT_TRACE_CACHE_CAP
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_malformed_trace_len_names_the_variable(monkeypatch, value):
+    from repro.errors import ReproError
+    from repro.workloads import registry
+
+    monkeypatch.setenv("REPRO_TRACE_LEN", value)
+    with pytest.raises(ReproError, match="REPRO_TRACE_LEN"):
+        registry.default_trace_len()
+
+
+def test_blank_trace_len_means_unset(monkeypatch):
+    from repro.workloads import registry
+
+    monkeypatch.setenv("REPRO_TRACE_LEN", " ")
+    assert registry.env_trace_len() is None
+    assert registry.default_trace_len() == registry.DEFAULT_TRACE_LEN
+    monkeypatch.setenv("REPRO_TRACE_LEN", " 1200 ")
+    assert registry.default_trace_len() == 1200
+
+
 def test_malformed_trace_cache_cap_does_not_break_import():
     env = dict(os.environ, REPRO_TRACE_CACHE_CAP="abc",
                PYTHONPATH=os.pathsep.join(sys.path))

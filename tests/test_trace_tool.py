@@ -49,6 +49,8 @@ class TestTraceTool:
         assert "LRU evictions      : 0" in out
         assert "CFG builds         : 1" in out
         assert "CFG reuses         : 1" in out
+        assert "simd column memos  :" in out
+        assert "compiled variants" not in out
         clear_trace_cache()
 
     def test_inspect_without_trace_or_flag_errors(self, capsys):
