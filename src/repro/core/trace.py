@@ -259,59 +259,58 @@ class TraceColumns:
         return cls(*columns)
 
 
-#: Every constructed trace, weakly held — the census below never pins
-#: one.  Keyed by id() because Trace is equality-comparable (unhashable);
-#: a dead entry's reused id simply overwrites the vacated slot.
-_live_traces: "weakref.WeakValueDictionary[int, Trace]" = \
-    weakref.WeakValueDictionary()
+#: The one trace whose ``_derived`` dict holds memo entries, weakly
+#: referenced so it never pins a trace.  :meth:`Trace.memo` hands the
+#: role over; :func:`drop_memos` empties it.
+_holder: "weakref.ref[Trace] | None" = None
 
-
-#: Cumulative count of memo entries evicted via :func:`drop_simd_memos`.
+#: Cumulative count of memo entries dropped by hand-overs and clears.
 _memo_evictions = 0
 
 
-def drop_simd_memos() -> int:
-    """Evict every live trace's simd column-pass memos; returns count.
-
-    The packed kernel columns are by far the largest per-trace memo
-    (tens of MB per (trace, geometry) pair at figure scale), and they
-    key on tuples starting with ``"simd"``.  The registry LRU holds
-    traces alive across :func:`repro.workloads.registry.clear_trace_cache`
-    callers that still pin a trace reference, so a cache clear must
-    drop the memos directly rather than rely on the traces dying.
-    """
-    global _memo_evictions
+def _hold(trace: "Trace | None") -> int:
+    """Make ``trace`` the memo holder, dropping any other holder's
+    memos; returns how many entries were dropped."""
+    global _holder, _memo_evictions
+    previous = _holder() if _holder is not None else None
+    if previous is trace:
+        return 0
     dropped = 0
-    for trace in list(_live_traces.values()):
-        stale = [key for key in trace._derived
-                 if isinstance(key, tuple) and key and key[0] == "simd"]
-        for key in stale:
-            del trace._derived[key]
-        dropped += len(stale)
-    _memo_evictions += dropped
+    if previous is not None:
+        dropped = len(previous._derived)
+        previous._derived.clear()
+        _memo_evictions += dropped
+    _holder = weakref.ref(trace) if trace is not None else None
     return dropped
 
 
-def memo_census() -> dict[str, int]:
-    """Memory-resident per-trace memo entries, across all live traces.
+def drop_memos() -> int:
+    """Drop the memo holder's entries; returns how many were dropped."""
+    return _hold(None)
 
-    Memoized derived data (:meth:`Trace.memo` artifacts such as the
-    columnar future index and the simd kernel columns)
-    lives only in each trace's
-    ``_derived`` dict, so it is released exactly when the trace itself
-    is.  After :func:`repro.harness.runner.clear_memory_cache` drops the
-    registry LRU (and ``gc.collect()`` clears any cycles), the census
-    returns to zero unless a caller still pins a trace — the regression
-    check for memo leaks.
+
+def memo_census() -> dict:
+    """The memo holder and its entries.
+
+    At most one trace holds :meth:`Trace.memo` entries (the columnar
+    future index, intervals, plans, the simd kernel columns), so the
+    census reads only that holder: ``traces`` is 0 or 1, ``entries``
+    its entry count, ``kinds`` that count per key kind (a key's first
+    element), ``holder`` its ``(app, input, length)`` or None, and
+    ``evicted`` the cumulative entries dropped by hand-overs and
+    :func:`drop_memos`.
     """
-    traces = entries = 0
-    for trace in list(_live_traces.values()):
-        held = len(trace._derived)
-        if held:
-            traces += 1
-            entries += held
-    return {"traces": traces, "entries": entries,
-            "evicted": _memo_evictions}
+    trace = _holder() if _holder is not None else None
+    kinds: dict[str, int] = {}
+    for key in trace._derived if trace is not None else ():
+        kind = str(key[0] if isinstance(key, tuple) and key else key)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    entries = sum(kinds.values())
+    holder = None
+    if entries:
+        holder = (trace.metadata.app, trace.metadata.input_name, len(trace))
+    return {"traces": int(entries > 0), "entries": entries, "kinds": kinds,
+            "holder": holder, "evicted": _memo_evictions}
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,14 +330,15 @@ class Trace:
     module docstring); ``lookups`` materializes the object list lazily
     from columns, and ``columns`` packs the object list lazily on first
     (de)serialization or fan-out use.  Derived aggregates
-    (``total_uops`` & friends) and :meth:`memo` artifacts are memoized
-    in ``_derived``, keyed by the
+    (``total_uops`` & friends) are memoized in ``_totals_memo`` and
+    :meth:`memo` artifacts in ``_derived``, both keyed by the
     lookup-sequence length so appends invalidate them automatically.
     Callers that mutate ``lookups`` *in place without changing its
     length* must call :meth:`invalidate_derived`.
     """
 
-    __slots__ = ("metadata", "_lookups", "_columns", "_derived", "__weakref__")
+    __slots__ = ("metadata", "_lookups", "_columns", "_derived",
+                 "_totals_memo", "__weakref__")
 
     def __init__(
         self,
@@ -355,7 +355,7 @@ class Trace:
         self._columns = columns
         self.metadata = metadata if metadata is not None else TraceMetadata()
         self._derived: dict = {}
-        _live_traces[id(self)] = self
+        self._totals_memo = None
 
     @property
     def lookups(self) -> list[PWLookup]:
@@ -420,7 +420,7 @@ class Trace:
 
     def __setstate__(self, state) -> None:
         self._derived = {}
-        _live_traces[id(self)] = self
+        self._totals_memo = None
         if len(state) == 3 and state[0] == "cols":
             _, self.metadata, columns = state
             self._columns = TraceColumns(*columns)
@@ -434,6 +434,7 @@ class Trace:
     def invalidate_derived(self) -> None:
         """Drop memoized aggregates after in-place lookup mutation."""
         self._derived.clear()
+        self._totals_memo = None
         if self._lookups is not None:
             # Packed columns no longer match the mutated objects.
             self._columns = None
@@ -442,23 +443,33 @@ class Trace:
         """Memoize ``build()`` on this trace, invalidated by appends.
 
         Entries are stored as ``(len(lookups), value)``, so growing
-        the trace drops them automatically.  Offline policies use this to share
-        per-trace artifacts (future indices, interval decompositions)
-        across policy instances.  Callers embedding callables in ``key``
+        the trace drops them automatically.  Offline policies and the
+        simd kernel use this to share per-trace artifacts (future
+        indices, interval decompositions, column windows) across the
+        runs of one trace.  Callers embedding callables in ``key``
         should wrap them with :func:`callable_token` so closures are not
         pinned for the trace's lifetime.
+
+        At most one trace holds memo entries: a miss on a trace other
+        than the current holder first drops the holder's entries, so
+        memory does not grow with the number of traces a batch touches.
+        The hand-over is repeated after ``build()``, which may itself
+        have memoized on another trace; on return only ``self`` holds
+        entries.
         """
         n = len(self)
         cached = self._derived.get(key)
         if cached is not None and cached[0] == n:
             return cached[1]
+        _hold(self)
         value = build()
+        _hold(self)
         self._derived[key] = (n, value)
         return value
 
     def _totals(self) -> tuple[int, int, int, int]:
         n = len(self)
-        cached = self._derived.get("totals")
+        cached = self._totals_memo
         if cached is not None and cached[0] == n:
             return cached[1]
         if self._lookups is None:
@@ -473,7 +484,7 @@ class Trace:
                 if pw.mispredicted:
                     mispredictions += 1
             totals = (uops, insts, branches, mispredictions)
-        self._derived["totals"] = (n, totals)
+        self._totals_memo = (n, totals)
         return totals
 
     @property

@@ -267,9 +267,11 @@ def _window_columns(pipeline: "FrontendPipeline", trace: "Trace",
     """Derived columns for lookups ``[lo, hi)`` under this geometry.
 
     The window that covers the whole trace is memoized on it (keyed by
-    geometry and :func:`~repro.core.trace.callable_token`, and
-    :func:`repro.core.trace.drop_simd_memos` evicts it by its ``"simd"``
-    prefix); any shorter window is built fresh and owned by the caller.
+    geometry and :func:`~repro.core.trace.callable_token`), so it lives
+    while that trace is the memo holder (:meth:`Trace.memo
+    <repro.core.trace.Trace.memo>`) and is dropped when another trace
+    memoizes or :func:`repro.core.trace.drop_memos` runs; any shorter
+    window is built fresh and owned by the caller.
     """
     config = pipeline.config
     uc = config.uop_cache
@@ -304,10 +306,11 @@ def run_kernel(pipeline: "FrontendPipeline", trace: "Trace",
 
     Columns come from one windowed source, sized by
     :data:`STREAM_WINDOW`: a trace of at most that many lookups builds
-    its single window once and memoizes it on the trace, so every later
-    run over that trace and geometry shares it; a longer trace streams
-    its windows (each built on demand and released before the next) and
-    memoizes nothing, so peak memory stays flat in the trace length.
+    its single window once and memoizes it on the trace, so the later
+    runs over that trace and geometry share it until another trace
+    takes over the memo holder role; a longer trace streams its windows
+    (each built on demand and released before the next) and memoizes
+    nothing, so peak memory stays flat in the trace length.
     """
     with stagetimer.timed("sim_kernel"):
         n = len(trace)

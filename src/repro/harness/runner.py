@@ -157,21 +157,21 @@ _thermo_cache: dict[str, dict[int, int]] = {}
 def clear_memory_cache() -> None:
     """Drop every in-process memoized layer (tests use this).
 
-    Beyond the result/profile/artifact/trace caches this also evicts
-    the simd column-pass memos still held by live traces (the registry
-    LRU keeps traces alive for callers holding references, so their
-    ``_derived`` entries would otherwise survive a "cache clear").
-    Each eviction is counted — ``repro trace inspect --cache-stats``
-    reports the cumulative totals.
+    Beyond the result/profile/artifact/trace caches this also drops
+    every :meth:`~repro.core.trace.Trace.memo` entry — kernel columns,
+    future index, intervals, plans — which all sit on the one memo
+    holder, so they go even when a caller still references that trace.
+    Each dropped entry is counted — ``repro-trace inspect --cache-stats``
+    reports the cumulative total.
     """
-    from ..core.trace import drop_simd_memos
+    from ..core.trace import drop_memos
 
     _memory_cache.clear()
     _profile_cache.clear()
     _thermo_cache.clear()
     clear_artifact_caches()
     clear_trace_cache()
-    drop_simd_memos()
+    drop_memos()
 
 
 # --- policy construction -----------------------------------------------------

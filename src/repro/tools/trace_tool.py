@@ -126,9 +126,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         from ..core.trace import memo_census
 
         census = memo_census()
-        print(f"simd column memos  : {census['entries']} "
-              f"(in {census['traces']} traces, "
-              f"{census['evicted']} evicted)")
+        holder = census["holder"]
+        print("memo holder        : "
+              + ("none" if holder is None
+                 else "{} input={} lookups={}".format(*holder)))
+        print(f"memo entries       : {census['entries']} "
+              f"({census['evicted']} dropped)")
+        for kind, count in sorted(census["kinds"].items()):
+            print(f"  {kind:24s}: {count}")
         if args.trace is None:
             return 0
     if args.trace is None:

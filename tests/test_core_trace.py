@@ -35,7 +35,7 @@ class TestDerivedProperties:
     def test_totals_are_cached_and_length_invalidated(self):
         trace = _sample_trace()
         assert trace.total_uops == 15
-        assert "totals" in trace._derived
+        assert trace._totals_memo == (3, trace._totals())
         # Appending changes the length, which invalidates the memo.
         trace.lookups.append(pw(0x2000, uops=4))
         assert trace.total_uops == 19

@@ -1,5 +1,9 @@
 """Tests for the repro-trace CLI tool."""
 
+from repro.config import preset
+from repro.frontend.pipeline import FrontendPipeline
+from repro.offline.belady import BeladyPolicy
+from repro.policies import make_policy
 from repro.tools.trace_tool import main
 from repro.workloads.registry import clear_trace_cache, get_trace
 
@@ -41,7 +45,12 @@ class TestTraceTool:
         clear_trace_cache()
         get_trace("kafka", n_lookups=600)
         get_trace("kafka", n_lookups=600)
-        get_trace("kafka", "alt-seed", n_lookups=600)
+        trace = get_trace("kafka", "alt-seed", n_lookups=600)
+        # One kernel run and one offline build: the trace becomes the
+        # memo holder with a column window and a future index.
+        config = preset("zen3").with_uop_cache(entries=64, ways=4)
+        FrontendPipeline(config, make_policy("lru")).run(trace)
+        FrontendPipeline(config, BeladyPolicy(trace)).run(trace)
         assert main(["inspect", "--cache-stats"]) == 0
         out = capsys.readouterr().out
         assert "memory hits        : 1" in out
@@ -49,7 +58,11 @@ class TestTraceTool:
         assert "LRU evictions      : 0" in out
         assert "CFG builds         : 1" in out
         assert "CFG reuses         : 1" in out
-        assert "simd column memos  :" in out
+        assert "memo holder        : kafka input=alt-seed lookups=600" in out
+        assert "simd column memos" not in out
+        entries = sum(int(line.rsplit(":", 1)[1]) for line in out.splitlines()
+                      if line.startswith(("  simd ", "  future_index ")))
+        assert entries == 2
         assert "compiled variants" not in out
         clear_trace_cache()
 
