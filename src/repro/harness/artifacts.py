@@ -1,34 +1,42 @@
-"""Shared offline-artifact store for profile-guided policies.
+"""The artifact store: every cached result and artifact of the harness.
 
-FURBYS and Thermometer both start from the same expensive artifact: a
-full trace replay under an offline policy with per-PW hit recording
-(:func:`repro.profiling.hitrate.collect_hit_stats`).  A batch that
-evaluates both — every headline figure does — used to pay for that
-replay once per policy; this module memoizes it per profiling key so
-the second consumer (and every FURBYS hint-width/scope variant, which
-only changes the cheap clustering step) reuses the recorded stats.
+A FLACK profiling replay feeds the FURBYS hint widths and weight
+scopes, Thermometer and the cross-input merges, and most figures share
+their baseline runs, so the harness caches four kinds of artifact,
+named by :data:`KINDS` (the same names as
+:data:`repro.faultinject.ARTIFACT_KINDS`):
 
-Two layers:
+* ``stats`` — one simulation's result; the payload is
+  :meth:`~repro.harness.runner.RunRequest.cache_key`;
+* ``hitstats`` — the per-PW hit stats of one profiling replay
+  (:func:`repro.profiling.hitrate.collect_hit_stats`);
+* ``profile`` — one training input's :class:`FurbysProfile`;
+* ``trace`` — a generated workload trace in the v2 binary format.
 
-* an in-process cache (cleared by :func:`clear_artifact_caches`, which
-  :func:`repro.harness.runner.clear_memory_cache` calls);
-* a disk cache next to the simulation-result cache (``.repro-cache/``,
-  disabled by ``REPRO_CACHE=0``), written atomically via a per-process
-  tmp file + :func:`os.replace` so parallel workers sharing the
-  directory can never observe a truncated entry.
+:func:`key` is the one function that derives a store key.  The key is
+``<kind>-<digest>``, which is also the file name under ``.repro-cache/``
+(``REPRO_CACHE_DIR`` moves it, ``REPRO_CACHE=0`` disables the disk
+layer).  Its digest mixes in :data:`MODEL_VERSION`, so a version bump
+turns every stored result into a miss; traces carry
+:data:`~repro.workloads.generator.GENERATOR_VERSION` in their payload
+instead.
 
-Keys hash everything that shapes the artifact: the training trace
-identity ``(app, input, trace_len)``, the offline decision ``source``,
-and the cache geometry (config preset plus every uop-cache override);
-profiles additionally include the hint parameters ``(n_bits, scope)``.
+The JSON kinds share one in-memory dict and one probe, :func:`fetch`:
+memory, then the validated disk read, then compute; a computed value
+is published to memory and written to disk atomically (a per-process
+tmp file plus :func:`os.replace`, so parallel writers sharing the
+directory never expose a truncated entry).  Each kind supplies only its
+encode and decode.  Traces keep their streaming binary load/store, and
+their in-memory layer is the bounded LRU in
+:mod:`repro.workloads.registry`.
 
 Every artifact is integrity-checked on load: JSON entries embed a
 ``sha256`` over their canonical payload, binary traces get a
-``*.sha256`` sidecar over the file bytes.  A corrupt, truncated or
-checksum-failing entry is **quarantined** — renamed to ``*.corrupt``
-for post-mortem instead of silently deleted — via an internal
-:class:`~repro.errors.ArtifactError`, counted in the resilience
-fallback counters, and treated as a cache miss so the artifact is
+``*.sha256`` sidecar over the file bytes.  A corrupt, truncated,
+checksum-failing or undecodable entry is **quarantined** — renamed to
+``*.corrupt`` for post-mortem instead of silently deleted — via an
+internal :class:`~repro.errors.ArtifactError`, counted in the
+resilience fallback counters, and treated as a miss so the artifact is
 recomputed.  Failed disk writes are likewise counted (``disk_write``)
 rather than silently swallowed.  :mod:`repro.faultinject` hooks the
 load paths so the chaos suite can corrupt a named artifact kind on
@@ -41,26 +49,56 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from typing import Callable
 
 from .. import faultinject
 from ..config import SimulationConfig
 from ..errors import ArtifactError
 from ..profiling.pipeline import FurbysProfile, profile_application
-from ..workloads.registry import get_trace
+from ..workloads.registry import get_trace, trace_cache_stats
 from . import resilience
+
+#: Bump by hand whenever a change alters what a simulation or a
+#: profiling replay computes: every stats, hitstats and profile entry
+#: stored under the old value becomes a miss, in memory and on disk.
+#: ``tests/fixtures/model_version.json`` pairs it with the sha256 of
+#: ``tests/fixtures/golden_stats.json``, and a test fails when that
+#: fixture changes while this value does not.
+MODEL_VERSION = "1"
+
+KINDS = ("stats", "hitstats", "profile", "trace")
 
 #: start -> (uops hit, uops requested) over the whole profiling replay.
 HitStats = dict[int, tuple[int, int]]
 
-_hitstats_cache: dict[str, HitStats] = {}
-_profile_cache: dict[str, FurbysProfile] = {}
+#: store key -> value, for every JSON kind.
+_memory: dict[str, object] = {}
+
+
+def key(kind: str, payload: object) -> str:
+    """The store key of a ``kind`` artifact: ``<kind>-<digest>``."""
+    mixed = [kind, payload] if kind == "trace" else [kind, MODEL_VERSION, payload]
+    digest = hashlib.sha256(json.dumps(mixed, sort_keys=True).encode())
+    return f"{kind}-{digest.hexdigest()[:24]}"
+
+
+def clear_memory() -> None:
+    """Drop every in-memory entry (the disk layer is untouched)."""
+    _memory.clear()
+
+
+def _cache_root() -> Path | None:
+    """Where the on-disk cache lives; ``None`` when disabled."""
+    if os.environ.get("REPRO_CACHE", "1") == "0":
+        return None
+    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
 
 
 def _disk_cache_dir() -> Path | None:
     """Root of the on-disk cache; ``None`` when disabled or unwritable."""
-    if os.environ.get("REPRO_CACHE", "1") == "0":
+    root = _cache_root()
+    if root is None:
         return None
-    root = Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
     try:
         root.mkdir(parents=True, exist_ok=True)
     except OSError:
@@ -68,15 +106,9 @@ def _disk_cache_dir() -> Path | None:
     return root
 
 
-def clear_artifact_caches() -> None:
-    """Drop in-process profiling artifacts (tests use this)."""
-    _hitstats_cache.clear()
-    _profile_cache.clear()
-
-
-def _digest(payload: object) -> str:
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:24]
+def _path(store_key: str, suffix: str = ".json") -> Path | None:
+    disk = _disk_cache_dir()
+    return None if disk is None else disk / f"{store_key}{suffix}"
 
 
 def _canonical_json(payload: dict) -> str:
@@ -84,11 +116,6 @@ def _canonical_json(payload: dict) -> str:
     return json.dumps(
         {k: v for k, v in payload.items() if k != "sha256"}, sort_keys=True
     )
-
-
-def _payload_checksum(payload: dict) -> str:
-    """Canonical sha256 over a JSON payload, excluding the checksum field."""
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
 def quarantine(path: Path, reason: str) -> ArtifactError:
@@ -134,10 +161,11 @@ def load_validated_json(path: Path, kind: str) -> dict:
     except ValueError as exc:
         raise quarantine(path, f"invalid JSON ({exc})") from exc
     expected = payload.get("sha256")
+    checksum = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
     if expected is None:
         _store_json(path, payload)
         resilience.note_fallback("note:cache_upgraded")
-    elif _payload_checksum(payload) != expected:
+    elif checksum != expected:
         raise quarantine(path, f"{kind} checksum mismatch")
     return payload
 
@@ -153,9 +181,9 @@ def probe_json(path: Path, kind: str) -> dict | None:
 def _store_json(path: Path, payload: dict) -> None:
     """Write ``payload`` with its checksum, encoding it only once.
 
-    The canonical text :func:`_payload_checksum` hashes is also the
-    file body: the ``"sha256"`` field is spliced in before its closing
-    brace, and readers re-derive the canonical form after parsing.
+    The canonical text the checksum covers is also the file body: the
+    ``"sha256"`` field is spliced in before its closing brace, and
+    readers re-derive the canonical form after parsing.
     """
     canonical = _canonical_json(payload)
     field = f'"sha256": "{hashlib.sha256(canonical.encode()).hexdigest()}"'
@@ -170,16 +198,81 @@ def _store_json(path: Path, payload: dict) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def lookup(store_key: str, decode: Callable) -> tuple[object, str | None]:
+    """Probe memory, then disk: ``(value, "memory" | "disk")`` or
+    ``(None, None)`` on a miss.
+
+    A disk hit is promoted into memory.  A corrupt entry, or one that
+    does not decode, is quarantined and is a miss.
+    """
+    if store_key in _memory:
+        return _memory[store_key], "memory"
+    path = _path(store_key)
+    if path is None or not path.exists():
+        return None, None
+    kind = store_key.partition("-")[0]
+    raw = probe_json(path, kind)
+    if raw is None:
+        return None, None
+    try:
+        value = decode(raw)
+    except (ValueError, KeyError, TypeError) as exc:
+        quarantine(path, f"undecodable {kind} payload ({exc})")
+        return None, None
+    _memory[store_key] = value
+    return value, "disk"
+
+
+def publish(store_key: str, value: object, encode: Callable | None = None):
+    """Hold ``value`` in memory and, given ``encode``, write it to disk."""
+    _memory[store_key] = value
+    path = _path(store_key) if encode is not None else None
+    if path is not None:
+        _store_json(path, encode(value))
+
+
+def fetch(store_key: str, compute: Callable, encode: Callable, decode: Callable):
+    """The value under ``store_key``: from memory, from disk, or computed
+    and then published to both."""
+    value, _ = lookup(store_key, decode)
+    if value is None:
+        value = compute()
+        publish(store_key, value, encode)
+    return value
+
+
+def census() -> dict[str, dict[str, int]]:
+    """Entries per kind: ``memory`` held by this process (traces: the
+    registry's LRU), ``disk`` files in the cache directory, and
+    quarantined ``corrupt`` files."""
+    counts = {tier: dict.fromkeys(KINDS, 0)
+              for tier in ("memory", "disk", "corrupt")}
+    for store_key in _memory:
+        counts["memory"][store_key.partition("-")[0]] += 1
+    counts["memory"]["trace"] = trace_cache_stats()["cached"]
+    root = _cache_root()
+    for path in root.iterdir() if root is not None and root.is_dir() else ():
+        kind = path.name.partition("-")[0]
+        if kind not in KINDS:
+            continue
+        if path.suffix == ".corrupt":
+            counts["corrupt"][kind] += 1
+        elif path.suffix in (".json", ".bin"):
+            counts["disk"][kind] += 1
+    return counts
+
+
 def _trace_sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".sha256")
 
 
-class _HashingWriter:
-    """Tee writer: forwards to a stream while folding a sha256.
+class _HashingTee:
+    """Forwards reads or writes to a stream while folding a sha256.
 
-    Lets :func:`store_cached_trace` checksum exactly the bytes it
-    writes without ever materializing the whole payload (a 10M-lookup
-    trace is a 210MB file).
+    A trace is checksummed over exactly the bytes written or parsed, in
+    the one streaming pass: no whole-file payload in memory (a
+    10M-lookup trace is a 210MB file), no second read, and no window for
+    the file to change between checksum and parse.
     """
 
     def __init__(self, handle):
@@ -190,26 +283,9 @@ class _HashingWriter:
         self.digest.update(data)
         return self._handle.write(data)
 
-
-class _HashingReader:
-    """Tee reader: forwards reads while folding a sha256.
-
-    The mirror of :class:`_HashingWriter` for the load side: the
-    chunked v2 trace parse consumes the file through this tee, so the
-    ``*.sha256`` sidecar is verified over exactly the bytes parsed in
-    the same single streaming pass — no separate whole-file checksum
-    read, and no window for the file to change between the checksum
-    pass and the parse.
-    """
-
-    def __init__(self, handle):
-        self._handle = handle
-        self.digest = hashlib.sha256()
-
     def read(self, size: int = -1) -> bytes:
         data = self._handle.read(size)
-        if data:
-            self.digest.update(data)
+        self.digest.update(data)
         return data
 
     def drain(self) -> None:
@@ -230,12 +306,8 @@ def load_cached_trace(
     (renamed to ``*.corrupt``) and treated as a miss; sidecar-less
     files from before checksumming are validated structurally only.
     """
-    disk = _disk_cache_dir()
-    if disk is None:
-        return None
-    key = _digest(["trace", app, input_name, n_lookups, version])
-    path = disk / f"trace-{key}.bin"
-    if not path.exists():
+    path = _path(key("trace", [app, input_name, n_lookups, version]), ".bin")
+    if path is None or not path.exists():
         return None
     from ..core.trace import Trace, TraceError
 
@@ -251,7 +323,7 @@ def load_cached_trace(
         # folds the sidecar checksum over those same chunked reads, so
         # verification costs no second pass over the file.
         with open(path, "rb") as handle:
-            reader = _HashingReader(handle)
+            reader = _HashingTee(handle)
             trace = Trace.parse_binary(reader)
             reader.drain()
         if expected and reader.digest.hexdigest() != expected:
@@ -280,15 +352,13 @@ def store_cached_trace(
     A failed write is counted (``disk_write``) and leaves no partial
     entry behind.
     """
-    disk = _disk_cache_dir()
-    if disk is None:
+    path = _path(key("trace", [app, input_name, n_lookups, version]), ".bin")
+    if path is None:
         return
-    key = _digest(["trace", app, input_name, n_lookups, version])
-    path = disk / f"trace-{key}.bin"
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as handle:
-            writer = _HashingWriter(handle)
+            writer = _HashingTee(handle)
             trace.dump_binary(writer)
         os.replace(tmp, path)
         sidecar = _trace_sidecar(path)
@@ -331,33 +401,46 @@ def shared_hit_stats(
 
     Callers must not mutate the returned mapping.
     """
-    key = _digest(["hitstats", app, input_name, trace_len, source, geometry])
-    cached = _hitstats_cache.get(key)
-    if cached is not None:
-        return cached
-    disk = _disk_cache_dir()
-    path = disk / f"hitstats-{key}.json" if disk is not None else None
-    if path is not None and path.exists():
-        raw = probe_json(path, "hitstats")
-        if raw is not None and "stats" in raw:
-            stats: HitStats = {
-                int(start): (int(pair[0]), int(pair[1]))
-                for start, pair in raw["stats"].items()
-            }
-            _hitstats_cache[key] = stats
-            return stats
-    from ..profiling.hitrate import collect_hit_stats
+    identity = [app, input_name, trace_len, source, geometry]
 
-    trace = get_trace(app, input_name, trace_len)
-    stats = collect_hit_stats(trace, config, source=source)
-    _hitstats_cache[key] = stats
-    if path is not None:
-        _store_json(path, {
-            "app": app, "input": input_name, "trace_len": trace_len,
-            "source": source, "geometry": geometry,
+    def compute() -> HitStats:
+        from ..profiling.hitrate import collect_hit_stats
+
+        trace = get_trace(app, input_name, trace_len)
+        return collect_hit_stats(trace, config, source=source)
+
+    return fetch(
+        key("hitstats", identity), compute,
+        encode=lambda stats: {
+            "identity": identity,
             "stats": {str(start): list(pair) for start, pair in stats.items()},
-        })
-    return stats
+        },
+        decode=lambda raw: {
+            int(start): (int(pair[0]), int(pair[1]))
+            for start, pair in raw["stats"].items()
+        },
+    )
+
+
+#: The per-start maps of a FurbysProfile and their value types.
+_PROFILE_MAPS = {"hints": int, "hit_rates": float, "sample_counts": int}
+
+
+def _encode_profile(profile: FurbysProfile) -> dict:
+    raw: dict = {"source": profile.source, "n_bits": profile.n_bits,
+                 "scope": profile.scope}
+    for name in _PROFILE_MAPS:
+        raw[name] = {str(s): v for s, v in getattr(profile, name).items()}
+    return raw
+
+
+def _decode_profile(raw: dict) -> FurbysProfile:
+    maps = {
+        name: {int(s): cast(v) for s, v in raw[name].items()}
+        for name, cast in _PROFILE_MAPS.items()
+    }
+    return FurbysProfile(source=raw["source"], n_bits=int(raw["n_bits"]),
+                         scope=raw["scope"], **maps)
 
 
 def shared_profile(
@@ -375,53 +458,19 @@ def shared_profile(
 
     The hit-stats artifact is shared across hint widths, weight scopes
     and with Thermometer; only the clustering step is parameterized.
-    Multi-input merges happen in memory (see the runner), so the disk
-    layer stays a flat per-input store.
+    Multi-input merges are not stored (see the runner's
+    ``_profile_for``): they are cheap dict merges of these.
     """
-    key = _digest([
-        "profile", app, input_name, trace_len, source, n_bits, scope,
-        geometry,
-    ])
-    cached = _profile_cache.get(key)
-    if cached is not None:
-        return cached
-    disk = _disk_cache_dir()
-    path = disk / f"profile-{key}.json" if disk is not None else None
-    if path is not None and path.exists():
-        raw = probe_json(path, "profile")
-        if raw is not None and "hints" in raw:
-            profile = FurbysProfile(
-                hints={int(s): int(w) for s, w in raw["hints"].items()},
-                hit_rates={
-                    int(s): float(r) for s, r in raw["hit_rates"].items()
-                },
-                source=raw["source"],
-                n_bits=int(raw["n_bits"]),
-                scope=raw["scope"],
-                sample_counts={
-                    int(s): int(c) for s, c in raw["sample_counts"].items()
-                },
-            )
-            _profile_cache[key] = profile
-            return profile
-    stats = shared_hit_stats(
-        app, input_name, trace_len, config, source=source, geometry=geometry
-    )
-    trace = get_trace(app, input_name, trace_len)
-    profile = profile_application(
-        trace, config, source=source, n_bits=n_bits, scope=scope,
-        hit_stats=stats,
-    )
-    _profile_cache[key] = profile
-    if path is not None:
-        _store_json(path, {
-            "app": app, "input": input_name, "trace_len": trace_len,
-            "source": source, "n_bits": n_bits, "scope": scope,
-            "geometry": geometry,
-            "hints": {str(s): w for s, w in profile.hints.items()},
-            "hit_rates": {str(s): r for s, r in profile.hit_rates.items()},
-            "sample_counts": {
-                str(s): c for s, c in profile.sample_counts.items()
-            },
-        })
-    return profile
+    def compute() -> FurbysProfile:
+        stats = shared_hit_stats(
+            app, input_name, trace_len, config, source=source, geometry=geometry
+        )
+        return profile_application(
+            get_trace(app, input_name, trace_len), config, source=source,
+            n_bits=n_bits, scope=scope, hit_stats=stats,
+        )
+
+    identity = [app, input_name, trace_len, source, n_bits, scope, geometry]
+    return fetch(key("profile", identity), compute,
+                 lambda profile: {"identity": identity, **_encode_profile(profile)},
+                 _decode_profile)

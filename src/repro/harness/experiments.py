@@ -346,7 +346,6 @@ def fig12_iso_performance(
 ) -> dict:
     """LRU at scaled capacities vs. FURBYS at 512 entries (Figure 12)."""
     config = preset("zen3")
-    timing = TimingModel(config)
     rows = []
     equivalents = []
     apps = selected_apps()
@@ -368,7 +367,6 @@ def fig12_iso_performance(
         base = stats_by[(app, "base")]
         furbys = stats_by[(app, "furbys")]
         furbys_red = furbys.miss_reduction_vs(base)
-        furbys_ipc = timing.evaluate(furbys).speedup_vs(timing.evaluate(base))
         row = [app, percent(furbys_red, 1)]
         equivalent = scales[-1]
         for scale in scales[1:]:
@@ -379,7 +377,6 @@ def fig12_iso_performance(
         equivalents.append(equivalent)
         row.append(f"{equivalent:.2f}x")
         rows.append(tuple(row))
-        del furbys_ipc
     return {
         "headers": ("App", "FURBYS@1x",
                     *[f"LRU@{s}x" for s in scales[1:]], "ISO size"),

@@ -26,7 +26,7 @@ RUNNING row whose heartbeat is older than three beats may take it over
 (``resume --force`` skips the staleness check).  :func:`resume_experiment`
 rebuilds the recorded requests, verifies every journaled row's
 checksum (corrupt rows are demoted to pending and counted as
-``corrupt_artifact``), seeds the runner's memory cache with the valid
+``corrupt_artifact``), seeds the artifact store's memory with the valid
 results — so the batch engine serves them with **zero re-executions**,
 visible in ``BatchReport.memory_hits`` — and replays only the missing
 rows.  Results are bit-identical to an uninterrupted run because every
@@ -59,8 +59,8 @@ from pathlib import Path
 
 from .. import faultinject
 from ..errors import ReproError
-from . import resilience
-from .runner import RunRequest, RunResult, _memory_cache
+from . import artifacts, resilience
+from .runner import RunRequest, RunResult
 
 __all__ = [
     "ExperimentJournal",
@@ -690,7 +690,7 @@ def resume_experiment(
     """Replay the missing/failed requests of a recorded experiment.
 
     Journaled rows are checksum-verified and served through the
-    runner's memory cache (0 re-executions — ``re_executed`` in the
+    artifact store's memory (0 re-executions — ``re_executed`` in the
     returned summary counts only truly cold runs, straight from
     ``BatchReport.executed``); corrupt rows are demoted and recomputed.
     A RUNNING experiment with a fresh heartbeat is refused unless
@@ -731,7 +731,7 @@ def resume_experiment(
     stored = ledger.journaled_stats(experiment_id)
     pairs = ledger.stored_requests(experiment_id)
     for key, stats in stored.items():
-        _memory_cache[key] = stats
+        artifacts.publish(artifacts.key("stats", key), stats)
     from .parallel import run_batch
 
     # Takeover/demotion notes accrued above predate run_batch's own

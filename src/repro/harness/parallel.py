@@ -15,10 +15,11 @@ list to :func:`run_many` instead of looping over ``run()``:
    straight out of the segment instead of regenerating the trace or
    unpickling tens of thousands of ``PWLookup`` objects (if shared
    memory is unavailable, workers re-derive traces instead);
-4. **write-back** — worker results are stored into both cache layers in
-   the parent, so memoization semantics are unchanged.
+4. **write-back** — results are published to the artifact store's
+   memory and disk by the parent only (workers never write a result),
+   so each executed request is written once.
 
-Every cold request then has one path: :func:`~repro.harness.runner.run`
+Every cold request then has one path: :func:`~repro.harness.runner.execute`
 builds its pipeline and :meth:`~repro.frontend.pipeline.FrontendPipeline.run`
 simulates it — through :func:`repro.frontend.simd.run_kernel`, or the
 reference loop for the shapes no kernel serves — serially in the parent
@@ -89,10 +90,10 @@ from ..config import env_number
 from ..core.stats import SimulationStats
 from ..core.trace import Trace, TraceColumns, TraceMetadata
 from ..errors import FaultInjectionError, ReproError, TraceError
-from . import resilience
+from . import artifacts, resilience
 from .ledger import active_journal
 from .resilience import FaultReport, RetryPolicy
-from .runner import RunRequest, _memory_cache, cached_stats, run, store_stats
+from .runner import RunRequest, RunResult, execute, store_stats
 
 #: (app, input, trace_len) -> (shm name, n_lookups, metadata fields).
 TraceDescriptors = dict[tuple[str, str, int], tuple[str, int, tuple]]
@@ -345,7 +346,7 @@ def _simulate_chunk(
     for index, request in zip(task_indices, requests):
         try:
             faultinject.on_worker_task(index)
-            out.append(("ok", run(request)))
+            out.append(("ok", execute(request)))
         except Exception as exc:
             out.append(("err", {
                 "type": type(exc).__name__,
@@ -589,11 +590,8 @@ class _PoolExecutor:
                 min(self.retry_policy.delay_for(task.attempts, task.key), 1.0)
             )
             try:
-                stats = run(task.request)
-                self.results[task.key] = stats
-                task.state = "done"
+                self._record_success(task, execute(task.request))
                 if self.journal is not None:
-                    self.journal.record(task.key, task.request, stats)
                     self.journal.commit()
             except Exception as exc:
                 task.attempts += 1
@@ -644,7 +642,8 @@ def _run_serial(
         while True:
             attempts += 1
             try:
-                stats = run(request)
+                stats = execute(request)
+                store_stats(request, stats, key)
                 results[key] = stats
                 if journal is not None:
                     journal.record(key, request, stats)
@@ -721,11 +720,12 @@ def run_batch(
     results: dict[str, SimulationStats | None] = {}
     cold: list[tuple[str, RunRequest]] = []
     for key, request in unique.items():
-        in_memory = key in _memory_cache
-        stats = cached_stats(request, key)
+        stats, tier = artifacts.lookup(
+            artifacts.key("stats", key), RunResult.stats_from_json
+        )
         if stats is not None:
             results[key] = stats
-            if in_memory:
+            if tier == "memory":
                 report.memory_hits += 1
             else:
                 report.disk_hits += 1

@@ -1,11 +1,11 @@
 """Memoized simulation runner: one entry point for every experiment.
 
 Every figure/table bench expresses its work as :class:`RunRequest`
-objects and calls :func:`run`.  Results are memoized in-process and on
-disk (``.repro-cache/`` at the repository/working directory), because
-the figures share most of their runs — every figure needs the per-app
-LRU baseline, several share the default FURBYS deployment, and so on.
-Set ``REPRO_CACHE=0`` to disable the disk layer.
+objects and calls :func:`run`.  Results are ``stats`` entries of the
+artifact store (:mod:`repro.harness.artifacts`), in memory and on disk,
+because the figures share most of their runs — every figure needs the
+per-app LRU baseline, several share the default FURBYS deployment, and
+so on.  Set ``REPRO_CACHE=0`` to disable the disk layer.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import SimulationConfig, preset
 from ..core.stats import MissBreakdown, SimulationStats
 from ..core.trace import Trace
-from ..errors import UnknownPolicyError
+from ..errors import ReproError, UnknownPolicyError
 from ..frontend.pipeline import FrontendPipeline
 from ..offline.belady import BeladyPolicy
 from ..offline.flack import FLACKPolicy
@@ -30,16 +29,8 @@ from ..policies.thermometer import ThermometerPolicy
 from ..profiling import FurbysProfile
 from ..profiling.hitrate import three_class_profile
 from ..workloads.registry import clear_trace_cache, default_trace_len, get_trace
-from .artifacts import (
-    _disk_cache_dir,
-    _store_json,
-    clear_artifact_caches,
-    probe_json,
-    profiling_geometry,
-    quarantine,
-    shared_hit_stats,
-    shared_profile,
-)
+from . import artifacts
+from .artifacts import profiling_geometry, shared_hit_stats, shared_profile
 
 #: Names accepted by RunRequest.policy, beyond the online registry.
 OFFLINE_POLICIES = (
@@ -149,27 +140,19 @@ class RunResult:
 
 # --- caches -----------------------------------------------------------------
 
-_memory_cache: dict[str, SimulationStats] = {}
-_profile_cache: dict[str, FurbysProfile] = {}
-_thermo_cache: dict[str, dict[int, int]] = {}
-
-
 def clear_memory_cache() -> None:
     """Drop every in-process memoized layer (tests use this).
 
-    Beyond the result/profile/artifact/trace caches this also drops
-    every :meth:`~repro.core.trace.Trace.memo` entry — kernel columns,
-    future index, intervals, plans — which all sit on the one memo
-    holder, so they go even when a caller still references that trace.
-    Each dropped entry is counted — ``repro-trace inspect --cache-stats``
-    reports the cumulative total.
+    Beyond the artifact store's memory and the trace cache this also
+    drops every :meth:`~repro.core.trace.Trace.memo` entry — kernel
+    columns, future index, intervals, plans — which all sit on the one
+    memo holder, so they go even when a caller still references that
+    trace.  Each dropped entry is counted — ``repro-trace inspect
+    --cache-stats`` reports the cumulative total.
     """
     from ..core.trace import drop_memos
 
-    _memory_cache.clear()
-    _profile_cache.clear()
-    _thermo_cache.clear()
-    clear_artifact_caches()
+    artifacts.clear_memory()
     clear_trace_cache()
     drop_memos()
 
@@ -177,13 +160,8 @@ def clear_memory_cache() -> None:
 # --- policy construction -----------------------------------------------------
 
 def _canonical_profile_inputs(request: RunRequest) -> tuple[str, ...]:
-    """Profile inputs in canonical (sorted) order.
-
-    The profile cache key hashes the sorted input set, so the merge
-    must also happen in sorted order — otherwise two orderings of the
-    same set would share one cache entry while producing
-    order-dependent merged profiles.
-    """
+    """Profile inputs in canonical (sorted) order, so two orderings of
+    the same set merge into the same profile."""
     inputs = request.profile_inputs or (request.input_name,)
     return tuple(sorted(inputs))
 
@@ -201,19 +179,9 @@ def _request_geometry(request: RunRequest) -> list:
 
 
 def _profile_for(request: RunRequest, config: SimulationConfig) -> FurbysProfile:
-    inputs = _canonical_profile_inputs(request)
-    key = json.dumps(
-        [request.app, list(inputs), request.profile_source, request.hint_bits,
-         request.weight_scope, _request_geometry(request),
-         request.resolved_trace_len()],
-        sort_keys=False,
-    )
-    cached = _profile_cache.get(key)
-    if cached is not None:
-        return cached
-    # Per-input profiles come from the shared artifact store (one
-    # profiling replay per training trace, reused by Thermometer and
-    # across hint parameters); merges stay in memory.
+    """The request's FURBYS profile: one stored profile per training
+    input (one profiling replay each, shared with Thermometer and across
+    hint parameters), merged in canonical order."""
     profiles = [
         shared_profile(
             request.app, name, request.resolved_trace_len(), config,
@@ -222,13 +190,9 @@ def _profile_for(request: RunRequest, config: SimulationConfig) -> FurbysProfile
             scope=request.weight_scope,
             geometry=_request_geometry(request),
         )
-        for name in inputs
+        for name in _canonical_profile_inputs(request)
     ]
-    profile = profiles[0] if len(profiles) == 1 else profiles[0].merged_with(
-        *profiles[1:]
-    )
-    _profile_cache[key] = profile
-    return profile
+    return profiles[0].merged_with(*profiles[1:]) if profiles[1:] else profiles[0]
 
 
 def _build_policy_and_hints(
@@ -264,31 +228,25 @@ def _build_policy_and_hints(
         return policy, profile.hints
     if name == "thermometer":
         inputs = _canonical_profile_inputs(request)
-        key = json.dumps([request.app, list(inputs), request.profile_source,
-                          _request_geometry(request),
-                          request.resolved_trace_len()])
-        classes = _thermo_cache.get(key)
-        if classes is None:
-            profile_trace = get_trace(
-                request.app, inputs[0], request.resolved_trace_len()
+        if len(inputs) > 1:
+            raise ReproError(
+                "thermometer trains on one input; got profile_inputs="
+                f"{request.profile_inputs!r}"
             )
-            # Reuse FURBYS's profiling replay: same trace, source and
-            # geometry -> same hit stats, different clustering.
-            stats = shared_hit_stats(
-                request.app, inputs[0], request.resolved_trace_len(),
-                config,
-                source=request.profile_source,
-                geometry=_request_geometry(request),
-            )
-            rates = {
-                start: (hit / total if total else 0.0)
-                for start, (hit, total) in stats.items()
-            }
-            classes = three_class_profile(
-                profile_trace, config,
-                source=request.profile_source, hit_rates=rates,
-            )
-            _thermo_cache[key] = classes
+        # Reuse FURBYS's profiling replay: same trace, source and
+        # geometry -> same hit stats, different clustering.
+        stats = shared_hit_stats(
+            request.app, inputs[0], request.resolved_trace_len(), config,
+            source=request.profile_source, geometry=_request_geometry(request),
+        )
+        rates = {
+            start: (hit / total if total else 0.0)
+            for start, (hit, total) in stats.items()
+        }
+        classes = three_class_profile(
+            get_trace(request.app, inputs[0], request.resolved_trace_len()),
+            config, source=request.profile_source, hit_rates=rates,
+        )
         return ThermometerPolicy(classes), None
     raise UnknownPolicyError(
         f"unknown policy {request.policy!r}; online={online_policy_names()}, "
@@ -298,61 +256,38 @@ def _build_policy_and_hints(
 
 # --- the runner -----------------------------------------------------------------
 
-def cached_stats(request: RunRequest, key: str | None = None) -> SimulationStats | None:
-    """Probe the memory then disk cache; ``None`` on a full miss.
+def _stats_key(request: RunRequest, key: str | None) -> str:
+    """The store key of a request's result (``key`` is its cache key)."""
+    return artifacts.key("stats", key or request.cache_key())
 
-    A disk hit is promoted into the memory layer.  Disk entries are
-    integrity-checked (embedded ``sha256`` when present); corrupt,
-    truncated or checksum-failing entries are quarantined as
-    ``*.corrupt`` — counted, never silently deleted — and the run is
-    recomputed.
+
+def _encode_stats(request: RunRequest):
+    return lambda stats: RunResult(request, stats).to_json()
+
+
+def cached_stats(request: RunRequest, key: str | None = None) -> SimulationStats | None:
+    """Probe the store's memory then disk for a result; ``None`` on a miss.
+
+    A corrupt or undecodable disk entry is quarantined (``*.corrupt``)
+    and is a miss, so the run is recomputed.
     """
-    key = key or request.cache_key()
-    cached = _memory_cache.get(key)
-    if cached is not None:
-        return cached
-    disk = _disk_cache_dir()
-    if disk is not None:
-        path = disk / f"{key}.json"
-        if path.exists():
-            payload = probe_json(path, "stats")
-            if payload is not None:
-                try:
-                    stats = RunResult.stats_from_json(payload)
-                except (ValueError, KeyError, TypeError) as exc:
-                    quarantine(path, f"undecodable stats payload ({exc})")
-                else:
-                    _memory_cache[key] = stats
-                    return stats
-    return None
+    return artifacts.lookup(
+        _stats_key(request, key), RunResult.stats_from_json
+    )[0]
 
 
 def store_stats(
     request: RunRequest, stats: SimulationStats, key: str | None = None
 ) -> None:
-    """Write a result into both cache layers.
-
-    The disk write goes to a per-process ``.tmp`` file first and is
-    published with an atomic :func:`os.replace`, so concurrent writers
-    of the same key (parallel workers sharing ``.repro-cache/``) and
-    interrupted processes can never leave a truncated entry behind.
-    The payload embeds a ``sha256`` checksum that :func:`cached_stats`
-    verifies; a failed write is counted as a ``disk_write`` fallback.
-    """
-    key = key or request.cache_key()
-    _memory_cache[key] = stats
-    disk = _disk_cache_dir()
-    if disk is None:
-        return
-    _store_json(disk / f"{key}.json", RunResult(request, stats).to_json())
+    """Publish a result to the store's memory and disk (atomic write)."""
+    artifacts.publish(_stats_key(request, key), stats, _encode_stats(request))
 
 
 def execute(request: RunRequest) -> SimulationStats:
-    """Compute one simulation, bypassing the result caches.
+    """Compute one simulation, bypassing the ``stats`` store.
 
-    Trace and profile construction still go through their own
-    process-local caches, which is what makes grouping same-app
-    requests onto one worker cheap.
+    Traces and profiling artifacts still come from the store, which is
+    what makes grouping same-app requests onto one worker cheap.
     """
     config = request.build_config()
     trace = get_trace(request.app, request.input_name, request.resolved_trace_len())
@@ -365,9 +300,7 @@ def execute(request: RunRequest) -> SimulationStats:
 
 def run(request: RunRequest) -> SimulationStats:
     """Execute (or recall) one simulation."""
-    key = request.cache_key()
-    stats = cached_stats(request, key)
-    if stats is None:
-        stats = execute(request)
-        store_stats(request, stats, key)
-    return stats
+    return artifacts.fetch(
+        _stats_key(request, None), lambda: execute(request),
+        _encode_stats(request), RunResult.stats_from_json,
+    )

@@ -134,6 +134,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
               f"({census['evicted']} dropped)")
         for kind, count in sorted(census["kinds"].items()):
             print(f"  {kind:24s}: {count}")
+        from ..harness.artifacts import census as store_census
+
+        for tier, counts in store_census().items():
+            print(f"store {tier:13s}: "
+                  + " ".join(f"{kind}={n}" for kind, n in counts.items()))
         if args.trace is None:
             return 0
     if args.trace is None:
@@ -213,7 +218,8 @@ def main(argv: list[str] | None = None) -> int:
     inspect.add_argument("trace", nargs="?", default=None)
     inspect.add_argument(
         "--cache-stats", action="store_true",
-        help="print registry LRU counters (hits/misses/evictions)",
+        help="print the registry LRU counters, the memo holder and the "
+        "artifact store census (entries per kind in memory, on disk, corrupt)",
     )
 
     convert = commands.add_parser(

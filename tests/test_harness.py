@@ -1,13 +1,16 @@
 """Tests for the experiment harness (runner, reporting, CLI)."""
 
 import dataclasses
+import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from repro.errors import UnknownPolicyError
+from repro.errors import ReproError, UnknownPolicyError
+from repro.harness import artifacts
 from repro.harness.reporting import format_table, geometric_mean, mean, percent
 from repro.harness.runner import (
     RunRequest,
@@ -17,6 +20,11 @@ from repro.harness.runner import (
 )
 
 SMALL = dict(trace_len=1500, warmup=500)
+
+
+def stats_path(root, request: RunRequest):
+    """Where the store keeps ``request``'s result under cache dir ``root``."""
+    return root / f"{artifacts.key('stats', request.cache_key())}.json"
 
 
 class TestRunRequest:
@@ -74,6 +82,14 @@ class TestRun:
         stats = run(RunRequest(app="kafka", policy="thermometer", **SMALL))
         assert stats.uops_total > 0
 
+    def test_thermometer_rejects_several_profile_inputs(self):
+        # Thermometer trains on one input; it must not silently drop the
+        # second one that its request (and so its cache key) names.
+        request = RunRequest(app="kafka", policy="thermometer",
+                             profile_inputs=("default", "alt-seed"), **SMALL)
+        with pytest.raises(ReproError, match="profile_inputs"):
+            run(request)
+
     def test_unknown_policy(self):
         with pytest.raises(UnknownPolicyError):
             run(RunRequest(app="kafka", policy="plru", **SMALL))
@@ -94,7 +110,7 @@ class TestRun:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_memory_cache()
         request = RunRequest(app="kafka", policy="lru", **SMALL)
-        path = tmp_path / f"{request.cache_key()}.json"
+        path = stats_path(tmp_path, request)
         path.write_text("{not json")
         stats = run(request)
         assert stats.uops_total > 0
@@ -104,7 +120,6 @@ class TestSharedArtifacts:
     """The profiling artifact store behind FURBYS/Thermometer requests."""
 
     def test_furbys_and_thermometer_share_one_profiling_replay(self, monkeypatch):
-        from repro.harness import artifacts
         from repro.profiling import hitrate
 
         clear_memory_cache()
@@ -122,7 +137,10 @@ class TestSharedArtifacts:
         # any hint-parameter variant.
         run(RunRequest(app="kafka", policy="furbys", hint_bits=2, **SMALL))
         assert len(replays) == 1
-        assert artifacts._hitstats_cache
+        memory = artifacts.census()["memory"]
+        assert memory["hitstats"] == 1
+        assert memory["profile"] == 2  # hint_bits 3 and 2
+        assert memory["stats"] == 3
 
     def test_profile_artifacts_persist_to_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "1")
@@ -198,7 +216,7 @@ class TestCacheIntegrity:
     def test_disk_write_is_atomic_under_concurrency(self, tmp_path):
         """Two processes publishing the same key never expose a torn file."""
         request = RunRequest(app="kafka", policy="lru", **SMALL)
-        path = tmp_path / f"{request.cache_key()}.json"
+        path = stats_path(tmp_path, request)
         with ProcessPoolExecutor(max_workers=2) as pool:
             futures = [
                 pool.submit(_hammer_same_key, str(tmp_path), 40)
@@ -223,7 +241,7 @@ class TestCacheIntegrity:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_memory_cache()
         request = RunRequest(app="kafka", policy="lru", **SMALL)
-        path = tmp_path / f"{request.cache_key()}.json"
+        path = stats_path(tmp_path, request)
         path.write_text('{"request": {"app": "kafka"')  # truncated write
         stats = run_many([request], jobs=1)[0]
         assert stats.uops_total > 0
@@ -234,7 +252,8 @@ class TestCacheIntegrity:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_memory_cache()
         request = RunRequest(app="kafka", policy="lru", **SMALL)
-        (tmp_path / f"{request.cache_key()}.12345.tmp").write_text("{trunc")
+        path = stats_path(tmp_path, request)
+        path.with_name(f"{path.name}.12345.tmp").write_text("{trunc")
         assert run(request).uops_total > 0
 
     @pytest.mark.parametrize("payload", [
@@ -269,7 +288,7 @@ class TestQuarantine:
         clear_memory_cache()
         request = RunRequest(app="kafka", policy="lru", **SMALL)
         run(request)
-        return request, tmp_path / f"{request.cache_key()}.json"
+        return request, stats_path(tmp_path, request)
 
     def test_truncated_stats_entry_is_quarantined(self, tmp_path, monkeypatch):
         request, path = self._entry(tmp_path, monkeypatch)
@@ -373,6 +392,56 @@ class TestQuarantine:
         assert (tmp_path / f"{path.name}.corrupt").exists()
         # The quarantine removed the stale sidecar with the entry.
         assert not sidecar.exists() or sidecar.read_text().strip() != "0" * 64
+
+
+class TestModelVersion:
+    """``artifacts.MODEL_VERSION`` is part of every result's store key."""
+
+    def test_bump_misses_memory_and_disk(self, tmp_path, monkeypatch):
+        from repro.harness.parallel import run_batch
+        from repro.profiling import hitrate
+
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_memory_cache()
+        requests = [RunRequest(app="kafka", policy=policy, **SMALL)
+                    for policy in ("lru", "furbys", "thermometer")]
+        results, _ = run_batch(requests, jobs=1)
+        reference = [dataclasses.asdict(s) for s in results]
+        _, warm = run_batch(requests, jobs=1)
+        assert warm.memory_hits == 3
+        clear_memory_cache()
+        _, warm = run_batch(requests, jobs=1)
+        assert warm.disk_hits == 3
+
+        replays = []
+        collect = hitrate.collect_hit_stats
+        monkeypatch.setattr(hitrate, "collect_hit_stats",
+                            lambda *a, **k: replays.append(1) or collect(*a, **k))
+        monkeypatch.setattr(artifacts, "MODEL_VERSION", "bumped")
+        # Memory and disk both still hold every entry of the old version.
+        results, bumped = run_batch(requests, jobs=1)
+        assert (bumped.memory_hits, bumped.disk_hits) == (0, 0)
+        assert bumped.executed == 3
+        assert len(replays) == 1  # hitstats and profiles missed too
+        assert [dataclasses.asdict(s) for s in results] == reference
+        disk = artifacts.census()["disk"]
+        assert (disk["stats"], disk["hitstats"], disk["profile"]) == (6, 2, 2)
+
+    def test_golden_stats_change_needs_a_version_bump(self):
+        fixtures = Path(__file__).parent / "fixtures"
+        recorded = json.loads((fixtures / "model_version.json").read_text())
+        golden = (fixtures / "golden_stats.json").read_bytes()
+        digest = hashlib.sha256(golden).hexdigest()
+        if digest != recorded["golden_stats_sha256"]:
+            assert artifacts.MODEL_VERSION != recorded["model_version"], (
+                "tests/fixtures/golden_stats.json changed: bump "
+                "repro.harness.artifacts.MODEL_VERSION so stored results "
+                "of the old model are no longer served")
+        assert recorded == {"model_version": artifacts.MODEL_VERSION,
+                            "golden_stats_sha256": digest}, (
+            "record the new MODEL_VERSION and golden_stats.json sha256 "
+            "in tests/fixtures/model_version.json")
 
 
 class TestProfileInputOrdering:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.errors import ReproError
-from repro.harness import parallel
+from repro.harness import artifacts, parallel
 from repro.harness.parallel import (
     BatchExecutionError,
     BatchReport,
@@ -158,11 +159,40 @@ class TestParallelPath:
         _cold()
         request = RunRequest(app="kafka", policy="lru", **SMALL)
         run_many([request], jobs=2)
-        path = tmp_path / f"{request.cache_key()}.json"
+        path = tmp_path / f"{artifacts.key('stats', request.cache_key())}.json"
         assert path.exists()
         payload = json.loads(path.read_text())
         assert payload["request"]["app"] == "kafka"
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_executed_result_is_written_once_by_the_parent(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        _cold()
+        log = tmp_path / "writes.log"
+        store_json = artifacts._store_json
+
+        def logged(path, payload):
+            # Forked workers inherit this patch, so their writes log too.
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {path.name}\n")
+            store_json(path, payload)
+
+        monkeypatch.setattr(artifacts, "_store_json", logged)
+        requests = _mixed_batch()
+        _, report = run_batch(requests + requests[:1], jobs=jobs)
+        assert report.executed == len(requests)
+        writes = [line.split() for line in log.read_text().splitlines()]
+        stats = [(int(pid), name) for pid, name in writes
+                 if name.startswith("stats-")]
+        assert len(stats) == report.executed
+        assert {pid for pid, _ in stats} == {os.getpid()}
+        assert len({name for _, name in stats}) == report.executed
+        assert len(list(cache.glob("stats-*.json"))) == report.executed
 
 
 class TestEdgeCases:

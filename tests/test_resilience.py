@@ -18,7 +18,7 @@ import pytest
 from repro import faultinject
 from repro.errors import FaultInjectionError
 from repro.faultinject import FaultPlan
-from repro.harness import resilience
+from repro.harness import artifacts, resilience
 from repro.harness.parallel import (
     BatchExecutionError,
     resolve_on_error,
@@ -369,7 +369,8 @@ class TestCorruptArtifactRecovery:
         request = RunRequest(app="kafka", policy="lru", **SMALL)
         _cold()
         reference = dataclasses.asdict(run_many([request], jobs=1)[0])
-        assert (cache / f"{request.cache_key()}.json").exists()
+        stats_key = artifacts.key("stats", request.cache_key())
+        assert (cache / f"{stats_key}.json").exists()
 
         _arm(monkeypatch, tmp_path, "artifact:stats:corrupt")
         _cold()

@@ -2,6 +2,8 @@
 
 from repro.config import preset
 from repro.frontend.pipeline import FrontendPipeline
+from repro.harness import artifacts
+from repro.harness.runner import RunRequest, clear_memory_cache, run
 from repro.offline.belady import BeladyPolicy
 from repro.policies import make_policy
 from repro.tools.trace_tool import main
@@ -42,7 +44,7 @@ class TestTraceTool:
 
     def test_inspect_cache_stats(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")  # count generation, not disk hits
-        clear_trace_cache()
+        clear_memory_cache()
         get_trace("kafka", n_lookups=600)
         get_trace("kafka", n_lookups=600)
         trace = get_trace("kafka", "alt-seed", n_lookups=600)
@@ -64,7 +66,32 @@ class TestTraceTool:
                       if line.startswith(("  simd ", "  future_index ")))
         assert entries == 2
         assert "compiled variants" not in out
+        assert ("store memory       : stats=0 hitstats=0 profile=0 trace=2"
+                in out)
+        assert "store disk         : stats=0 hitstats=0 profile=0 trace=0" in out
         clear_trace_cache()
+
+    def test_inspect_cache_stats_counts_the_store_per_kind(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_memory_cache()
+        small = dict(app="kafka", trace_len=900, warmup=300)
+        lru = RunRequest(policy="lru", **small)
+        run(lru)
+        run(RunRequest(policy="furbys", **small))
+        # A torn result is quarantined on its next read and rewritten.
+        stored = tmp_path / f"{artifacts.key('stats', lru.cache_key())}.json"
+        stored.write_text("{torn")
+        clear_memory_cache()
+        run(lru)
+        assert main(["inspect", "--cache-stats"]) == 0
+        out = capsys.readouterr().out
+        assert "store memory       : stats=1 hitstats=0 profile=0 trace=1" in out
+        assert "store disk         : stats=2 hitstats=1 profile=1 trace=1" in out
+        assert "store corrupt      : stats=1 hitstats=0 profile=0 trace=0" in out
+        clear_memory_cache()
 
     def test_inspect_without_trace_or_flag_errors(self, capsys):
         assert main(["inspect"]) == 2
