@@ -19,9 +19,8 @@ from collections import defaultdict
 from ..config import preset
 from ..core.stats import SimulationStats
 from ..power.mcpat import CorePowerModel
-from ..power.ppw import performance_per_watt, ppw_gain
+from ..power.ppw import ppw_gain
 from ..profiling import profile_application
-from ..profiling.hints import build_hints
 from ..timing.model import TimingModel
 from ..workloads.apps import app_names
 from ..workloads.registry import env_trace_len, get_trace

@@ -26,7 +26,7 @@ from ..offline.foo import FOOPolicy
 from ..policies import make_policy, online_policy_names
 from ..policies.furbys import FurbysPolicy
 from ..policies.thermometer import ThermometerPolicy
-from ..profiling import FurbysProfile
+from ..profiling.hints import HintMap, merge_hints
 from ..profiling.hitrate import three_class_profile
 from ..workloads.registry import clear_trace_cache, default_trace_len, get_trace
 from . import artifacts
@@ -178,11 +178,12 @@ def _request_geometry(request: RunRequest) -> list:
     )
 
 
-def _profile_for(request: RunRequest, config: SimulationConfig) -> FurbysProfile:
-    """The request's FURBYS profile: one stored profile per training
-    input (one profiling replay each, shared with Thermometer and across
-    hint parameters), merged in canonical order."""
-    profiles = [
+def _profile_for(request: RunRequest, config: SimulationConfig) -> HintMap:
+    """The request's FURBYS hint map: one stored map per training input
+    (one profiling replay each, shared with Thermometer and across hint
+    parameters), merged in canonical order as
+    :meth:`~repro.profiling.FurbysProfile.merged_with` merges hints."""
+    hint_maps = [
         shared_profile(
             request.app, name, request.resolved_trace_len(), config,
             source=request.profile_source,
@@ -192,7 +193,7 @@ def _profile_for(request: RunRequest, config: SimulationConfig) -> FurbysProfile
         )
         for name in _canonical_profile_inputs(request)
     ]
-    return profiles[0].merged_with(*profiles[1:]) if profiles[1:] else profiles[0]
+    return merge_hints(hint_maps) if hint_maps[1:] else hint_maps[0]
 
 
 def _build_policy_and_hints(
@@ -220,12 +221,11 @@ def _build_policy_and_hints(
                 )
         return FLACKPolicy(trace, config.uop_cache, **flags), None
     if name == "furbys":
-        profile = _profile_for(request, config)
         policy = FurbysPolicy(
             bypass_enabled=request.furbys_bypass,
             pitfall_depth=request.furbys_pitfall_depth,
         )
-        return policy, profile.hints
+        return policy, _profile_for(request, config)
     if name == "thermometer":
         inputs = _canonical_profile_inputs(request)
         if len(inputs) > 1:
@@ -239,13 +239,9 @@ def _build_policy_and_hints(
             request.app, inputs[0], request.resolved_trace_len(), config,
             source=request.profile_source, geometry=_request_geometry(request),
         )
-        rates = {
-            start: (hit / total if total else 0.0)
-            for start, (hit, total) in stats.items()
-        }
         classes = three_class_profile(
             get_trace(request.app, inputs[0], request.resolved_trace_len()),
-            config, source=request.profile_source, hit_rates=rates,
+            config, source=request.profile_source, hit_stats=stats,
         )
         return ThermometerPolicy(classes), None
     raise UnknownPolicyError(
@@ -262,7 +258,15 @@ def _stats_key(request: RunRequest, key: str | None) -> str:
 
 
 def _encode_stats(request: RunRequest):
-    return lambda stats: RunResult(request, stats).to_json()
+    def encode(stats: SimulationStats) -> dict:
+        # The entry embeds the request with its trace geometry resolved,
+        # so it hashes back to its key in any environment (the store's
+        # stale census relies on this).
+        resolved = dataclasses.replace(
+            request, trace_len=request.resolved_trace_len(),
+            warmup=request.resolved_warmup())
+        return RunResult(resolved, stats).to_json()
+    return encode
 
 
 def cached_stats(request: RunRequest, key: str | None = None) -> SimulationStats | None:

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.pw import PWLookup, StoredPW
+from ..core.pw import StoredPW
 from ..core.trace import Trace
-from ..uopcache.replacement import EvictionReason, ReplacementPolicy
+from ..uopcache.replacement import ReplacementPolicy
 from .future import NEVER, shared_future_index
 from .intervals import IdentityMode
 

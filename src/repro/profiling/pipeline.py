@@ -21,7 +21,7 @@ from ..config import SimulationConfig
 from ..core.trace import Trace
 from ..policies.furbys import FurbysPolicy
 from .hints import HintMap, build_hints, merge_hints
-from .hitrate import collect_hit_stats
+from .hitrate import HitStats, collect_hit_stats
 
 
 @dataclass(slots=True)
@@ -79,7 +79,7 @@ def profile_application(
     source: str = "flack",
     n_bits: int = 3,
     scope: str = "per_set",
-    hit_stats: dict[int, tuple[int, int]] | None = None,
+    hit_stats: HitStats | None = None,
 ) -> FurbysProfile:
     """Run STEP 2-6 on a training trace.
 
@@ -91,10 +91,8 @@ def profile_application(
     """
     if hit_stats is None:
         hit_stats = collect_hit_stats(trace, config, source=source)  # STEP 3-5
-    hit_rates = {
-        start: (hit / total if total else 0.0)
-        for start, (hit, total) in hit_stats.items()
-    }
+    starts = hit_stats.starts.tolist()
+    hit_rates = dict(zip(starts, hit_stats.rates().tolist()))
     with stagetimer.timed("hint_build"):
         hints = build_hints(  # STEP 6
             trace,
@@ -106,7 +104,7 @@ def profile_application(
     return FurbysProfile(
         hints=hints, hit_rates=hit_rates, source=source, n_bits=n_bits,
         scope=scope,
-        sample_counts={s: total for s, (_, total) in hit_stats.items()},
+        sample_counts=dict(zip(starts, hit_stats.totals.tolist())),
     )
 
 

@@ -9,6 +9,7 @@ Subcommands::
     repro trace inspect out.trace          # metadata + totals, any format
     repro trace convert out.trace out.bin  # v1 text <-> v2 binary
     repro trace gen kafka out.bin --format v2
+    repro-trace gc                         # delete stale cache files
 
 Traces come in two formats (see :mod:`repro.core.trace`): the
 line-oriented v1 text format, which diffs and compresses well, and the
@@ -188,6 +189,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_gc(_: argparse.Namespace) -> int:
+    from ..harness.artifacts import gc
+
+    removed = gc()
+    print(f"removed {sum(removed.values())} stale cache files: "
+          + " ".join(f"{kind}={n}" for kind, n in removed.items()))
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-trace",
@@ -219,7 +229,13 @@ def main(argv: list[str] | None = None) -> int:
     inspect.add_argument(
         "--cache-stats", action="store_true",
         help="print the registry LRU counters, the memo holder and the "
-        "artifact store census (entries per kind in memory, on disk, corrupt)",
+        "artifact store census (entries per kind in memory, on disk, "
+        "corrupt, stale)",
+    )
+
+    commands.add_parser(
+        "gc", help="delete the artifact store's stale files (entries of an "
+        "older model version or layout, pre-store results, orphan *.tmp)",
     )
 
     convert = commands.add_parser(
@@ -248,6 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         "inspect": _cmd_inspect,
         "convert": _cmd_convert,
         "gen": _cmd_gen,
+        "gc": _cmd_gc,
     }
     return handlers[args.command](args)
 

@@ -16,13 +16,13 @@ overlapping PW in O(overlap).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable, Iterator, NamedTuple
 
 from ..config import UopCacheConfig
 from ..core.pw import PWLookup, StoredPW
 from ..errors import ConfigurationError
-from .replacement import BYPASS, Bypass, EvictionReason, ReplacementPolicy, Victims
+from .replacement import Bypass, EvictionReason, ReplacementPolicy, Victims
 
 
 def default_set_index(start: int, n_sets: int) -> int:

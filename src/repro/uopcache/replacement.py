@@ -14,7 +14,7 @@ the resident PWs) and optionally :meth:`should_bypass`.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import ABC
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence

@@ -6,7 +6,6 @@ from repro.config import (
     BranchPredictorConfig,
     CoreConfig,
     ICacheConfig,
-    SimulationConfig,
     UopCacheConfig,
     preset,
     zen3_config,

@@ -15,7 +15,6 @@ from repro.frontend.pipeline import FrontendPipeline
 from repro.offline.belady import BeladyPolicy
 from repro.offline.flack import FLACKPolicy, flack_ablation_suite
 from repro.policies import make_policy
-from repro.policies.furbys import FurbysPolicy
 from repro.profiling import make_furbys, profile_application
 from repro.workloads.registry import build_app_trace
 from repro.workloads.apps import get_profile

@@ -7,7 +7,6 @@ replayed Belady policy matches the exhaustive optimum — the ground
 truth anchor for the whole offline stack.
 """
 
-import itertools
 from dataclasses import replace
 
 from repro.config import zen3_config

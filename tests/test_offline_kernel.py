@@ -46,7 +46,7 @@ from repro.offline.foo import FOOPolicy
 from repro.policies import make_policy
 from repro.policies.furbys import FurbysPolicy
 from repro.policies.thermometer import ThermometerPolicy
-from repro.workloads.registry import clear_trace_cache, get_trace
+from repro.workloads.registry import clear_trace_cache
 
 POLICIES = ("belady", "foo-ohr", "flack", "flack[A]", "furbys",
             "thermometer")

@@ -8,8 +8,6 @@ invalidation, perfect-structure modes, warmup and 3C classification.
 
 from dataclasses import replace
 
-import pytest
-
 from repro.config import zen3_config
 from repro.core.stats import MissClass
 from repro.core.trace import Trace

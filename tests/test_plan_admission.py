@@ -1,7 +1,5 @@
 """Focused tests for interval records and admission plans."""
 
-import pytest
-
 from repro.offline.intervals import Interval
 from repro.offline.plan import AdmissionPlan, greedy_admission
 

@@ -1,7 +1,5 @@
 """Unit tests for the FURBYS policy mechanics."""
 
-import pytest
-
 from repro.config import UopCacheConfig
 from repro.policies.furbys import FurbysPolicy
 from repro.uopcache.cache import UopCache

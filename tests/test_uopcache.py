@@ -1,11 +1,8 @@
 """Unit tests for the micro-op cache storage (repro.uopcache.cache)."""
 
-import pytest
-
 from repro.config import UopCacheConfig
 from repro.policies.lru import LRUPolicy
 from repro.uopcache.cache import UopCache, default_set_index
-from repro.uopcache.replacement import BYPASS, ReplacementPolicy
 
 from .conftest import pw
 
