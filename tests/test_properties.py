@@ -16,7 +16,7 @@ from repro.offline.plan import greedy_admission
 from repro.policies.furbys import FurbysPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.srrip import SRRIPPolicy
-from repro.profiling.jenks import _fisher_breaks, jenks_breaks, jenks_group
+from repro.profiling.jenks import _fisher_breaks, jenks_breaks, jenks_groups
 from repro.uopcache.cache import UopCache
 
 from .conftest import pw
@@ -106,9 +106,8 @@ def test_jenks_breaks_cover_all_values(values, k):
     breaks = jenks_breaks(values, k)
     assert len(breaks) == k
     assert breaks == sorted(breaks)
-    for value in values:
-        group = jenks_group(value, breaks)
-        assert 0 <= group < k
+    groups = jenks_groups(values, breaks)
+    assert ((0 <= groups) & (groups < k)).all()
     assert breaks[-1] >= max(values)
 
 
@@ -119,7 +118,7 @@ def test_jenks_grouping_is_monotone(values):
     """Larger values never land in a lower class."""
     breaks = jenks_breaks(values, 4)
     ordered = sorted(values)
-    groups = [jenks_group(v, breaks) for v in ordered]
+    groups = jenks_groups(ordered, breaks).tolist()
     assert groups == sorted(groups)
 
 
