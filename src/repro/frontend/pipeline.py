@@ -332,7 +332,8 @@ class FrontendPipeline:
         Supported configurations (the online LRU/SRRIP/random/GHRP
         kinds plus the offline and profile-guided families — Belady,
         FOO/FLACK replay, FURBYS, Thermometer — with or without per-PW
-        hit-rate recording) run the vectorized :mod:`repro.frontend.simd`
+        hit-rate recording or a perfect micro-op cache) run the
+        vectorized :mod:`repro.frontend.simd`
         kernel, one template for every kind, through
         :func:`repro.frontend.simd.run_kernel`; everything else runs
         :meth:`run_reference`, counting the reason under a

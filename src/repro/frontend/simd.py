@@ -31,12 +31,14 @@ detector) mirrored in event order.
 The kernel splits the simulation into:
 
 * **array passes** (numpy, once per column window x geometry — a trace
-  that fits in one window memoizes it, so all policies in a batch share
-  it; see :func:`run_kernel`): set indices, entry sizes,
-  icache line spans, legacy-decode cycles, branch extraction, prefix
-  sums for per-segment totals, and — for GHRP — the full global history
-  sequence (the 20-bit history register is a shift-XOR of the last four
-  start addresses, so it vectorizes exactly);
+  of at most :data:`MEMO_LOOKUPS` lookups runs as one memoized window,
+  so all policies in a batch share it, and a longer one streams
+  :data:`STREAM_WINDOW`-lookup windows; see :func:`run_kernel`): set
+  indices, entry sizes, icache line spans, legacy-decode cycles, branch
+  extraction, prefix sums for per-segment totals, and — for GHRP — the
+  full global history sequence (the 20-bit history register is a
+  shift-XOR of the last four start addresses, so it vectorizes
+  exactly);
 * a **compressed BTB pass** per segment over branch-terminated lookups
   only (the BTB is independent of micro-op cache state, so its LRU
   updates batch into one tight loop over precomputed branch PCs);
@@ -70,11 +72,14 @@ geometries, policies and trace lengths against
 kernel entry: it advances one pipeline through ``_segment``, window by
 window.
 
+A perfect micro-op cache hits every lookup without consulting the
+policy, the icache or the decoder, so its segments run only the BTB
+pass and fold the rest from the prefix sums.
+
 Unsupported configurations (policies without a kernel kind, miss
-classification, perfect uop cache) run
-:meth:`FrontendPipeline.run_reference` instead, counted per (policy,
-reason) by the ``sim_fallback:*`` resilience counters — see
-:func:`fallback_reason`.
+classification) run :meth:`FrontendPipeline.run_reference` instead,
+counted per (policy, reason) by the ``sim_fallback:*`` resilience
+counters — see :func:`fallback_reason`.
 """
 
 from __future__ import annotations
@@ -241,8 +246,6 @@ def fallback_reason(pipeline: "FrontendPipeline") -> str | None:
         return "unsupported_policy"
     if pipeline._classifier is not None:
         return "miss_classifier"
-    if pipeline.config.perfect_uop_cache:
-        return "perfect_uop_cache"
     # A pipeline that already streamed lookups (manual step() calls)
     # carries loop state the kernel does not reconstruct.
     if pipeline._pending or pipeline._in_flight:
@@ -255,11 +258,17 @@ def fallback_reason(pipeline: "FrontendPipeline") -> str | None:
     return None
 
 
-#: Lookups per column window.  A trace of at most this many lookups
-#: memoizes its single window; a longer one streams.  Smaller windows
-#: would make the paper-scale traces stream and rebuild their columns
-#: on every run.
-STREAM_WINDOW = 65536
+#: Lookups per column window of a trace longer than :data:`MEMO_LOOKUPS`.
+#: Such a trace builds each window on demand and releases it before the
+#: next, so the kernel holds one window's columns at a time and peak
+#: memory stays flat in the trace length.
+STREAM_WINDOW = 8192
+#: The longest trace that runs as one column window, memoized on the
+#: trace so the later policies over it and the same geometry share it.
+#: Splitting such a trace into :data:`STREAM_WINDOW` windows would save
+#: no memory (every window stays memoized) and measured a few percent
+#: slower on 50k-lookup traces.
+MEMO_LOOKUPS = 65536
 
 
 def _window_columns(pipeline: "FrontendPipeline", trace: "Trace",
@@ -304,17 +313,19 @@ def run_kernel(pipeline: "FrontendPipeline", trace: "Trace",
     first.  Returns the finalized :class:`SimulationStats`,
     bit-identical to :meth:`FrontendPipeline.run_reference`.
 
-    Columns come from one windowed source, sized by
-    :data:`STREAM_WINDOW`: a trace of at most that many lookups builds
-    its single window once and memoizes it on the trace, so the later
-    runs over that trace and geometry share it until another trace
-    takes over the memo holder role; a longer trace streams its windows
-    (each built on demand and released before the next) and memoizes
-    nothing, so peak memory stays flat in the trace length.
+    A trace of at most :data:`MEMO_LOOKUPS` lookups runs as one window,
+    built once and memoized on the trace, so the later runs over that
+    trace and geometry share it until another trace takes over the memo
+    holder role.  A longer trace streams windows of
+    :data:`STREAM_WINDOW` lookups, each built on demand and released
+    before the next, and memoizes nothing, so peak memory stays flat in
+    the trace length.  The segment loop reads each window
+    ``base``-relative, so completions and GHRP signatures that reach
+    across a window edge stay exact.
     """
     with stagetimer.timed("sim_kernel"):
         n = len(trace)
-        window = STREAM_WINDOW
+        window = max(n, 1) if n <= MEMO_LOOKUPS else STREAM_WINDOW
         # Warmup discards the counters once, at the warmup lookup; a
         # warmup covering the whole trace discards nothing (as in the
         # reference loop).
@@ -360,7 +371,7 @@ def _build_columns(trace: "Trace", *, n_sets: int, uops_per_entry: int,
 
     The default (``lo=0``, ``hi=None``) builds the full trace;
     :func:`run_kernel` builds one window per :data:`STREAM_WINDOW`
-    lookups.  Window reads
+    lookups of a trace longer than :data:`MEMO_LOOKUPS`.  Window reads
     are indexed relative to the returned ``base``: completions trail the
     window start by up to the insertion delay and the GHRP signature
     looks up to ``delay`` lookups ahead, so the materialized slice is
@@ -465,10 +476,6 @@ def _build_columns(trace: "Trace", *, n_sets: int, uops_per_entry: int,
         "base": clo,
         "starts": starts.tolist(),
         "uops": uops_l,
-        "insts": insts_l,
-        "bytes_len": bytes_l,
-        "si": si_l,
-        "esize": esize_l,
         "first_line": first_l,
         "last_line": last_l,
         "contains": contains_l,
@@ -809,7 +816,7 @@ class _Kernel:
                     starts.add(start)
         cache._line_map = line_map
         pipeline._on_uop_path = self.on_uop_path
-        if self.kind == "ghrp":
+        if self.kind == "ghrp" and not pipeline.config.perfect_uop_cache:
             pipeline.policy._history = int(self.hist[self.n - self.col_base])
         # Rebuild resident StoredPW objects so post-run cache probes
         # (tests, notebooks) see the expected contents.  Way-slot ids
@@ -1569,10 +1576,20 @@ class _Kernel:
         NEVER = 1 << 62  # int sentinel keeps the per-lookup compare int-int
         next_due = pending[0] + delay if pending else NEVER
         sig = i0 = i1 = i2 = 0
+        # A perfect micro-op cache hits every lookup without consulting
+        # the policy, icache or decoder: its lookups skip the loop, the
+        # fold below counts them all as full hits, and the first one
+        # switches to the micro-op path.
+        loop_end = end
+        if cfg.perfect_uop_cache:
+            loop_end = begin
+            if begin < end and not on_uop_path:
+                path_switches = 1
+                on_uop_path = True
 
-        for now, start, uops in zip(range(begin, end),
-                                    starts_l[begin - base:end - base],
-                                    uops_l[begin - base:end - base]):
+        for now, start, uops in zip(range(begin, loop_end),
+                                    starts_l[begin - base:loop_end - base],
+                                    uops_l[begin - base:loop_end - base]):
             if next_due <= now:
                 lim = now - delay
                 while pending and pending[0] <= lim:

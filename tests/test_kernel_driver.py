@@ -2,10 +2,13 @@
 
 Every kernel run goes through :func:`repro.frontend.simd.run_kernel`.
 Its column windows must be invisible except for peak memory: a
-streamed run matches a monolithic one field by field, and every run
-matches :meth:`FrontendPipeline.run_reference`.  The window-boundary
-suite shrinks ``STREAM_WINDOW`` so short traces cross window edges,
-and checks that a streamed trace memoizes no columns.
+windowed run matches one whose single window covers the trace, field
+by field, and every run matches :meth:`FrontendPipeline.run_reference`.
+The window-boundary suite shrinks ``STREAM_WINDOW`` and ``MEMO_LOOKUPS``
+so short traces cross window edges, and checks that a trace within the
+memo limit memoizes its one window while a streamed trace memoizes
+none.  The streaming suite runs the shipped constants over a trace
+longer than ``MEMO_LOOKUPS`` and bounds its traced memory.
 
 Every kind runs the one ``_segment`` / ``_attempt`` template, whose
 run-constant config flags are live branches.  The template suite runs
@@ -15,6 +18,8 @@ all nine kinds against the reference with each of those flags flipped.
 from __future__ import annotations
 
 import dataclasses
+import sys
+import tracemalloc
 
 import pytest
 
@@ -32,6 +37,8 @@ from repro.policies import make_policy
 from repro.policies.furbys import FurbysPolicy
 from repro.policies.thermometer import ThermometerPolicy
 from repro.workloads.registry import get_trace
+
+from .test_sim_kernel import _policy_state
 
 
 def _requests(app: str, trace_len: int, arms: tuple[str, ...]):
@@ -52,6 +59,7 @@ def test_streaming_window_matches_monolithic(monkeypatch):
     requests = _requests("kafka", 20000, arms)
     monolithic = _run_cold(requests)
     monkeypatch.setattr(simd, "STREAM_WINDOW", 4096)
+    monkeypatch.setattr(simd, "MEMO_LOOKUPS", 4096)
     windowed = _run_cold(requests)
     assert windowed == monolithic
 
@@ -63,6 +71,58 @@ def test_clear_memory_cache_drops_sim_caches():
     assert kinds.get("simd") and kinds.get("future_index"), kinds
     clear_memory_cache()
     assert memo_census()["entries"] == 0
+
+
+# --- streaming with the shipped constants ------------------------------------
+
+#: Just over the shipped memo limit, so the trace streams.
+LONG = 70000
+#: Traced-memory ceiling of one streamed LRU run over ``LONG`` lookups:
+#: it peaks at ~7 MiB in 8192-lookup windows and at ~39 MiB in
+#: 65536-lookup ones.
+STREAM_PEAK_MIB = 16
+
+
+def _long_run(policy: str, trace) -> tuple:
+    pipeline = FrontendPipeline(preset("zen3"), make_policy(policy))
+    stats = pipeline.run(trace, warmup=len(trace) // 10)
+    return dataclasses.asdict(stats), _policy_state(pipeline.policy)
+
+
+def test_long_trace_streams_in_bounded_memory(monkeypatch):
+    """A trace over ``MEMO_LOOKUPS`` runs in ``STREAM_WINDOW``-lookup
+    windows with the shipped constants: bit-identical to one window
+    covering the trace, memoizing no columns, and with a traced peak
+    that one window's columns bound."""
+    assert simd.STREAM_WINDOW < LONG and simd.MEMO_LOOKUPS < LONG
+    clear_memory_cache()
+    trace = get_trace("kafka", "default", LONG)
+
+    # tracemalloc finds each allocation's line by scanning the code
+    # object's line table, so an allocation deep inside the long
+    # ``_segment`` loop costs a scan of hundreds of lines.  CPython 3.11
+    # caches a per-instruction line array once a profiler has run the
+    # code; one short profiled run builds it and keeps this test at
+    # seconds (other versions only run slower).
+    profiler = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    try:
+        _long_run("lru", get_trace("kafka", "default", 500))
+    finally:
+        sys.setprofile(profiler)
+    tracemalloc.start()
+    try:
+        streamed = {"lru": _long_run("lru", trace)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < STREAM_PEAK_MIB << 20, peak / 2**20
+    streamed["ghrp"] = _long_run("ghrp", trace)
+    assert _simd_memos(trace) == []
+
+    monkeypatch.setattr(simd, "STREAM_WINDOW", LONG)
+    assert {policy: _long_run(policy, trace) for policy in streamed} \
+        == streamed
 
 
 # --- window boundaries --------------------------------------------------------
@@ -102,7 +162,8 @@ def _boundary_pipeline(arm: str, trace, config) -> FrontendPipeline:
 
 
 def _outcome(pipeline: FrontendPipeline, stats) -> tuple:
-    return dataclasses.asdict(stats), pipeline.pw_hit_stats
+    return (dataclasses.asdict(stats), pipeline.pw_hit_stats,
+            _policy_state(pipeline.policy))
 
 
 def _simd_memos(trace) -> list:
@@ -113,7 +174,10 @@ def _simd_memos(trace) -> list:
 @pytest.mark.parametrize("n,warmup", BOUNDARY_CASES,
                          ids=[f"n{n}-w{w}" for n, w in BOUNDARY_CASES])
 def test_window_boundaries_match_reference(n, warmup, monkeypatch):
+    # The memo limit shrinks with the window, so every trace over W
+    # lookups streams and crosses window edges.
     monkeypatch.setattr(simd, "STREAM_WINDOW", W)
+    monkeypatch.setattr(simd, "MEMO_LOOKUPS", W)
     clear_memory_cache()
     config = preset("zen3").with_uop_cache(entries=64, ways=8)
     trace = get_trace("kafka", "default", n)
@@ -133,7 +197,7 @@ def test_window_boundaries_match_reference(n, warmup, monkeypatch):
 
     assert solo == reference
     if n > W:
-        # A streamed trace keeps no full-trace column memo.
+        # A streamed trace keeps no column memo.
         assert _simd_memos(trace) == []
     else:
         assert len(_simd_memos(trace)) == 1
@@ -148,7 +212,7 @@ KINDS = ("lru", "srrip", "random", "ghrp", "belady", "plan", "greedy",
 #: The run-constant config flags the template branches on, each
 #: flipped from its zen3 default ("default" flips none).
 FLAGS = ("default", "perfect_icache", "non_inclusive", "no_keep_larger",
-         "perfect_btb", "record_hit_rates")
+         "perfect_btb", "record_hit_rates", "perfect_uop_cache")
 
 
 def _flag_config(flag: str):
@@ -158,6 +222,8 @@ def _flag_config(flag: str):
         return config.with_perfect("icache")
     if flag == "perfect_btb":
         return config.with_perfect("btb")
+    if flag == "perfect_uop_cache":
+        return config.with_perfect("uop_cache")
     if flag == "non_inclusive":
         return config.with_uop_cache(inclusive_with_icache=False)
     if flag == "no_keep_larger":

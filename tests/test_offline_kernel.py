@@ -215,16 +215,14 @@ def test_hit_rate_recording_matches_reference(policy):
 
 class TestFallbackVisibility:
     @pytest.mark.parametrize("reason", (
-        "unsupported_policy", "miss_classifier", "perfect_uop_cache",
+        "unsupported_policy", "miss_classifier",
     ))
     def test_unsupported_shape_counts_a_reasoned_fallback(self, reason):
         """Shapes the kernel does not serve — a policy without a kernel
-        (SHiP++), miss classification, a perfect uop cache — run the
-        reference loop, count exactly one
-        sim_fallback:<policy>:<reason> and stay bit-identical."""
+        (SHiP++), miss classification — run the reference loop, count
+        exactly one sim_fallback:<policy>:<reason> and stay
+        bit-identical."""
         config = preset("zen3").with_uop_cache(entries=32, ways=4)
-        if reason == "perfect_uop_cache":
-            config = config.with_perfect("uop_cache")
         trace = _random_trace(seed=5, n=1_200)
 
         def pipeline() -> FrontendPipeline:
