@@ -25,9 +25,56 @@ import sys
 import time
 
 from .harness.experiments import EXPERIMENTS
+from .harness.parallel import ON_ERROR_MODES
 from .harness.reporting import (
     bar_chart, format_batch_report, format_failure, format_table,
 )
+
+
+def add_run_options(
+    parser: argparse.ArgumentParser, workload: bool = True
+) -> None:
+    """The batch options every running command shares; ``workload``
+    adds the app subset and trace length too."""
+    if workload:
+        parser.add_argument(
+            "--apps",
+            help="comma-separated application subset (sets REPRO_APPS)",
+        )
+        parser.add_argument(
+            "--trace-len", type=int,
+            help="PW lookups per trace (sets REPRO_TRACE_LEN)",
+        )
+    parser.add_argument(
+        "--jobs", type=int,
+        help="worker processes for cold simulation batches (sets REPRO_JOBS; "
+             "1 = serial, default REPRO_JOBS or the machine's cpu count)",
+    )
+    parser.add_argument(
+        "--on-error", choices=ON_ERROR_MODES,
+        help="batch failure mode (sets REPRO_ON_ERROR): raise = fail fast, "
+             "skip = keep partial results, retry = retry transient faults",
+    )
+    parser.add_argument(
+        "--timeout", type=float,
+        help="per-chunk timeout in seconds for parallel batches "
+             "(sets REPRO_TIMEOUT_S; hung workers are terminated and the "
+             "chunk is retried/rerouted)",
+    )
+
+
+def export_run_options(args: argparse.Namespace) -> None:
+    """Publish the :func:`add_run_options` values as ``REPRO_*`` env."""
+    if getattr(args, "apps", None):
+        os.environ["REPRO_APPS"] = args.apps
+    if getattr(args, "trace_len", None) is not None:
+        os.environ["REPRO_TRACE_LEN"] = str(args.trace_len)
+    if getattr(args, "jobs", None):
+        os.environ["REPRO_JOBS"] = str(args.jobs)
+    if getattr(args, "on_error", None):
+        os.environ["REPRO_ON_ERROR"] = args.on_error
+    if getattr(args, "timeout", None):
+        os.environ["REPRO_TIMEOUT_S"] = str(args.timeout)
 
 
 def _bench(args: argparse.Namespace) -> int:
@@ -117,30 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         help="experiment id (see 'repro list'), 'list', 'bench', or 'all'",
     )
-    parser.add_argument(
-        "--apps",
-        help="comma-separated application subset (sets REPRO_APPS)",
-    )
-    parser.add_argument(
-        "--trace-len", type=int,
-        help="PW lookups per trace (sets REPRO_TRACE_LEN)",
-    )
-    parser.add_argument(
-        "--jobs", type=int,
-        help="worker processes for cold simulation batches (sets REPRO_JOBS; "
-             "1 = serial, default REPRO_JOBS or the machine's cpu count)",
-    )
-    parser.add_argument(
-        "--on-error", choices=("raise", "skip", "retry"),
-        help="batch failure mode (sets REPRO_ON_ERROR): raise = fail fast, "
-             "skip = keep partial results, retry = retry transient faults",
-    )
-    parser.add_argument(
-        "--timeout", type=float,
-        help="per-chunk timeout in seconds for parallel batches "
-             "(sets REPRO_TIMEOUT_S; hung workers are terminated and the "
-             "chunk is retried/rerouted)",
-    )
+    add_run_options(parser)
     parser.add_argument(
         "--chaos", action="store_true",
         help="bench only: fault-injection smoke — inject a worker crash, "
@@ -159,17 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         help="bench only: comma-separated policy subset for --chaos",
     )
     args = parser.parse_args(argv)
-
-    if args.apps:
-        os.environ["REPRO_APPS"] = args.apps
-    if args.trace_len is not None:
-        os.environ["REPRO_TRACE_LEN"] = str(args.trace_len)
-    if args.jobs:
-        os.environ["REPRO_JOBS"] = str(args.jobs)
-    if args.on_error:
-        os.environ["REPRO_ON_ERROR"] = args.on_error
-    if args.timeout:
-        os.environ["REPRO_TIMEOUT_S"] = str(args.timeout)
+    export_run_options(args)
 
     if args.experiment == "bench":
         return _bench(args)

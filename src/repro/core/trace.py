@@ -231,33 +231,6 @@ class TraceColumns:
             columns = tuple(swapped)
         return b"".join(column.tobytes() for column in columns)
 
-    @classmethod
-    def from_payload(cls, buffer, n: int) -> "TraceColumns":
-        """Rebuild columns from a :meth:`to_payload` byte block.
-
-        Accepts any buffer (bytes, memoryview, shared-memory view); the
-        column data is copied out, so the source buffer can be released
-        immediately afterwards.
-        """
-        view = memoryview(buffer)
-        if len(view) != cls.payload_size(n):
-            raise TraceError(
-                f"binary trace payload is {len(view)} bytes, expected "
-                f"{cls.payload_size(n)} for {n} lookups"
-            )
-        columns = []
-        offset = 0
-        for code in (_START_CODE, _COUNT_CODE, _COUNT_CODE, _COUNT_CODE,
-                     _FLAG_CODE):
-            column = array(code)
-            size = column.itemsize * n
-            column.frombytes(view[offset:offset + size])
-            if sys.byteorder == "big":  # pragma: no cover - exotic platform
-                column.byteswap()
-            offset += size
-            columns.append(column)
-        return cls(*columns)
-
 
 #: The one trace whose ``_derived`` dict holds memo entries, weakly
 #: referenced so it never pins a trace.  :meth:`Trace.memo` hands the

@@ -1,9 +1,9 @@
 """Deterministic, env-gated fault injection for the execution stack.
 
 The resilience layer (:mod:`repro.harness.resilience`,
-``harness/parallel.py``) claims to survive worker crashes, hangs,
-corrupt cache artifacts and shared-memory failures.  This module makes
-those conditions *reproducible on demand* so the chaos suite
+``harness/parallel.py``) claims to survive worker crashes, hangs and
+corrupt cache artifacts.  This module makes those conditions
+*reproducible on demand* so the chaos suite
 (``tests/test_resilience.py``) and ``repro bench --chaos`` can prove
 the claim: with no ``REPRO_FAULT_SPEC`` in the environment every hook
 is a no-op costing one attribute check.
@@ -16,7 +16,6 @@ Spec grammar (``REPRO_FAULT_SPEC``, ``;``-separated faults)::
     task:<n>:raise            worker task #n raises FaultInjectionError
     artifact:<kind>:corrupt   garble the next <kind>-artifact file read
                               (kind: stats|hitstats|profile|trace|ledger)
-    shm:attach:fail           the next worker shared-memory attach fails
     exp:<n>:kill              SIGKILL the experiment process the moment
                               its ledger journal commits result #n — the
                               durable analog of task:crash (the process
@@ -39,10 +38,10 @@ an explicit directory).  :func:`reset` removes the claim files of every
 plan this process has seen, so chaos runs do not leak ``*.fired``
 markers into the temp dir.
 
-Faults only arm inside pool workers, the artifact/shm paths, and the
-experiment-ledger journal/resume hooks; the plain serial execution
-path never injects, so a fault-free serial
-run is always available as the bit-identity reference.
+Faults only arm inside pool workers, the artifact paths, and the
+experiment-ledger journal/resume hooks; a request run in the parent
+never injects, so a fault-free serial run is always available as the
+bit-identity reference.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ __all__ = [
     "active_plan",
     "maybe_corrupt_artifact",
     "maybe_corrupt_ledger_rows",
-    "maybe_fail_shm_attach",
     "maybe_kill_experiment",
     "on_worker_task",
     "reset",
@@ -80,9 +78,9 @@ ARTIFACT_KINDS = ("stats", "hitstats", "profile", "trace", "ledger")
 class _Fault:
     """One parsed fault: where it hooks, what it does, once-claim id."""
 
-    kind: str  # "task" | "artifact" | "shm"
-    target: str  # task index / artifact kind / "attach"
-    action: str  # "crash" | "hang" | "raise" | "corrupt" | "fail"
+    kind: str  # "task" | "artifact" | "exp" | "ledger"
+    target: str  # task/result index / artifact kind / "rows"
+    action: str  # "crash" | "hang" | "raise" | "corrupt" | "kill"
     arg: float | None = None
 
     @property
@@ -109,7 +107,6 @@ def _parse_fault(text: str) -> _Fault:
     valid = {
         "task": ("crash", "hang", "raise"),
         "artifact": ("corrupt",),
-        "shm": ("fail",),
         "exp": ("kill",),
         "ledger": ("corrupt",),
     }
@@ -199,13 +196,6 @@ class FaultPlan:
             except OSError:
                 return False
             return True
-        return False
-
-    def fail_shm_attach(self) -> bool:
-        for fault in self.faults:
-            if fault.kind == "shm" and fault.action == "fail":
-                if self._claim(fault):
-                    return True
         return False
 
     def kill_experiment(self, recorded: int) -> None:
@@ -317,13 +307,6 @@ def maybe_corrupt_artifact(path: Path, kind: str) -> bool:
     if plan is None:
         return False
     return plan.corrupt_artifact(Path(path), kind)
-
-
-def maybe_fail_shm_attach() -> None:
-    """Hook: a worker is about to attach a shared-memory trace segment."""
-    plan = active_plan()
-    if plan is not None and plan.fail_shm_attach():
-        raise FaultInjectionError("injected shared-memory attach failure")
 
 
 def maybe_kill_experiment(recorded: int) -> None:

@@ -7,14 +7,12 @@ list to :func:`run_many` instead of looping over ``run()``:
 1. **dedup** — requests are collapsed by ``cache_key()`` (figures share
    baselines heavily);
 2. **cache probe** — memory/disk hits are served inline in the parent;
-3. **fan-out** — the remaining cold runs are grouped by
-   ``(app, input, trace_len)`` so each trace is materialized once: the
-   parent builds (or disk-loads) it, publishes the packed columns via
-   ``multiprocessing.shared_memory``, and workers on the
-   :class:`~concurrent.futures.ProcessPoolExecutor` copy the columns
-   straight out of the segment instead of regenerating the trace or
-   unpickling tens of thousands of ``PWLookup`` objects (if shared
-   memory is unavailable, workers re-derive traces instead);
+3. **fan-out** — the parent builds (or disk-loads) each distinct cold
+   ``(app, input, trace_len)`` trace once, then forks the
+   :class:`~concurrent.futures.ProcessPoolExecutor`, so every worker
+   inherits the registry's trace cache instead of regenerating the
+   trace; the remaining cold runs are grouped by that key so one
+   worker's chunk shares its trace and profile;
 4. **write-back** — results are published to the artifact store's
    memory and disk by the parent only (workers never write a result),
    so each executed request is written once.
@@ -34,10 +32,12 @@ persist to the same ``.repro-cache/`` directory (atomically, so
 concurrent workers may race on a key but never corrupt it), priming
 later batches even across processes.
 
-``jobs=1`` (or ``REPRO_JOBS=1``) takes a plain serial path, which keeps
-debugging and coverage simple.  Traces, profiles and the simulation
-itself are deterministic, so parallel results are bit-identical to
-serial ones — the test suite asserts this.
+``jobs=1`` (or ``REPRO_JOBS=1``) creates no pool: every cold request
+runs in the parent, through the same attempt/retry/skip bookkeeping a
+pooled request's parent-side last attempt uses, so both paths keep one
+failure contract.  Traces, profiles and the simulation itself are
+deterministic, so parallel results are bit-identical to serial ones —
+the test suite asserts this.
 
 Failure handling (:mod:`repro.harness.resilience`) wraps all of the
 above.  ``on_error`` selects the contract:
@@ -51,8 +51,10 @@ above.  ``on_error`` selects the contract:
   the :class:`~repro.harness.resilience.RetryPolicy`: the pool is
   rebuilt after a ``BrokenProcessPool``, surviving cold work is
   resubmitted as singleton chunks, and a request's **final** attempt is
-  rerouted to the serial path in the parent so a persistent error
-  surfaces with a clean local traceback;
+  rerouted to the parent so a persistent error surfaces with a clean
+  local traceback.  Retryability is decided where the exception is
+  caught (:meth:`~repro.harness.resilience.RetryPolicy.is_retryable`,
+  in the worker or the parent), so both paths retry the same failures;
 * ``"skip"`` — like ``"retry"``, but exhausted (or deterministic)
   failures yield ``None`` in that request's result slot instead of
   raising, with every skip itemized in ``BatchReport.faults`` — a sweep
@@ -76,10 +78,10 @@ mid-batch can be resumed with only its missing requests re-executed.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import time
 import traceback
-from struct import error as struct_error
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -88,15 +90,11 @@ from typing import Iterable, Sequence
 from .. import faultinject
 from ..config import env_number
 from ..core.stats import SimulationStats
-from ..core.trace import Trace, TraceColumns, TraceMetadata
-from ..errors import FaultInjectionError, ReproError, TraceError
+from ..errors import ReproError
 from . import artifacts, resilience
 from .ledger import active_journal
 from .resilience import FaultReport, RetryPolicy
 from .runner import RunRequest, RunResult, execute, store_stats
-
-#: (app, input, trace_len) -> (shm name, n_lookups, metadata fields).
-TraceDescriptors = dict[tuple[str, str, int], tuple[str, int, tuple]]
 
 __all__ = [
     "BatchExecutionError",
@@ -208,125 +206,20 @@ def _chunk_cold_requests(
     return chunks
 
 
-def _export_traces(
-    cold: Sequence[RunRequest],
-) -> tuple[TraceDescriptors, list]:
-    """Build each distinct cold trace once and stage it in shared memory.
-
-    The parent pays generation (or a disk-cache load) for each distinct
-    ``(app, input, trace_len)`` and publishes the packed columns as one
-    ``multiprocessing.shared_memory`` segment, so workers copy columns
-    out of the segment instead of re-deriving 45k ``PWLookup`` objects
-    per chunk.  A failed segment allocation (e.g. ``/dev/shm``
-    unavailable or full) degrades to the old regenerate-in-worker
-    behaviour — counted as an ``shm_export`` fallback, never silent.
-
-    Returns the descriptors plus the open segments; the caller must
-    close and unlink the segments once the pool has drained.
-    """
-    descriptors: TraceDescriptors = {}
-    segments: list = []
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:  # pragma: no cover - stdlib always has it
-        return descriptors, segments
-    from ..workloads.registry import get_trace
-
-    keys = {
-        (request.app, request.input_name, request.resolved_trace_len())
-        for request in cold
-    }
-    for app, input_name, trace_len in sorted(keys):
-        trace = get_trace(app, input_name, trace_len)
-        columns = trace.columns
-        payload = columns.to_payload()
-        if not payload:
-            continue
-        try:
-            segment = shared_memory.SharedMemory(create=True, size=len(payload))
-        except OSError:
-            resilience.note_fallback("shm_export")
-            continue
-        segment.buf[: len(payload)] = payload
-        segments.append(segment)
-        meta = trace.metadata
-        descriptors[(app, input_name, trace_len)] = (
-            segment.name,
-            len(columns),
-            (meta.app, meta.input_name, meta.seed, meta.description),
-        )
-    return descriptors, segments
-
-
-def _release_segments(segments: list) -> None:
-    for segment in segments:
-        try:
-            segment.close()
-            segment.unlink()
-        except OSError:  # pragma: no cover - already gone
-            resilience.note_fallback("shm_cleanup")
-
-
-def _attach_traces(descriptors: TraceDescriptors) -> None:
-    """Worker side: copy shared-memory traces into the registry cache.
-
-    Under the default ``fork`` start method the parent's trace cache is
-    inherited and seeding is a no-op; under ``spawn`` (or after a cache
-    clear) this is what saves regeneration.  A missing/renamed segment
-    or an undecodable payload counts an ``shm_attach`` fallback and the
-    worker falls back to normal generation.
-    """
-    if not descriptors:
-        return
-    faultinject.maybe_fail_shm_attach()
-    from multiprocessing import resource_tracker, shared_memory
-
-    from ..workloads.registry import seed_trace_cache
-
-    def _no_register(name: str, rtype: str) -> None:
-        # Python <= 3.12 SharedMemory registers even plain attaches with
-        # the resource tracker, which double-books segments the parent
-        # owns (and, under spawn, unlinks them when this worker exits).
-        if rtype != "shared_memory":  # pragma: no cover - only shm here
-            _register(name, rtype)
-
-    for (app, input_name, trace_len), (name, n, meta) in descriptors.items():
-        _register = resource_tracker.register
-        resource_tracker.register = _no_register
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        except (OSError, ValueError):
-            resilience.note_fallback("shm_attach")
-            continue
-        finally:
-            resource_tracker.register = _register
-        try:
-            columns = TraceColumns.from_payload(segment.buf, n)
-        except (ValueError, TraceError, struct_error):
-            resilience.note_fallback("shm_attach")
-            segment.close()
-            continue
-        segment.close()
-        trace = Trace(columns=columns, metadata=TraceMetadata(*meta))
-        seed_trace_cache(app, input_name, trace_len, trace)
-
-
 def _simulate_chunk(
     requests: list[RunRequest],
-    trace_descriptors: TraceDescriptors | None = None,
-    task_indices: list[int] | None = None,
+    task_indices: list[int],
+    retry_policy: RetryPolicy,
 ) -> tuple[list[tuple[str, object]], dict[str, int]]:
     """Worker entry point: run each request, never raise.
 
-    Runs inside a pool process; traces arrive over shared memory (see
-    :func:`_export_traces`) when available, otherwise they are rebuilt
-    from the request (they are deterministic) and cached per worker, so
-    same-app requests grouped onto this worker pay trace construction
-    at most once.  Exceptions are shipped back as the exception type
-    name plus formatted traceback text so the parent can classify
-    retryability and attach the offending request.  The second return
-    value is this chunk's fallback-counter delta (shm attach failures,
-    quarantined artifacts, ...) for the parent's
+    Runs inside a forked pool process, which inherited the parent's
+    trace cache, so same-trace requests grouped onto this worker build
+    nothing.  An exception is shipped back as its type name, formatted
+    traceback and ``retry_policy``'s verdict on the live exception, so
+    the parent can retry it and attach the offending request.  The
+    second return value is this chunk's fallback-counter delta
+    (quarantined artifacts, failed disk writes, ...) for the parent's
     :class:`~repro.harness.resilience.FaultReport`.
 
     ``task_indices`` are the batch-wide cold-task numbers of each
@@ -334,14 +227,6 @@ def _simulate_chunk(
     else) so ``REPRO_FAULT_SPEC`` can name a specific simulation.
     """
     counters_before = resilience.global_counters()
-    if trace_descriptors:
-        try:
-            _attach_traces(trace_descriptors)
-        except (OSError, ValueError, TraceError, FaultInjectionError):
-            # Sharing is an optimization; generation still works.
-            resilience.note_fallback("shm_attach")
-    if task_indices is None:
-        task_indices = list(range(len(requests)))
     out: list[tuple[str, object]] = []
     for index, request in zip(task_indices, requests):
         try:
@@ -351,6 +236,7 @@ def _simulate_chunk(
             out.append(("err", {
                 "type": type(exc).__name__,
                 "traceback": traceback.format_exc(),
+                "retryable": retry_policy.is_retryable(exc),
             }))
     return out, resilience.counters_since(counters_before)
 
@@ -373,12 +259,14 @@ class _PendingTask:
     attempts: int = 0
     error_type: str = ""
     detail: str = ""
-    state: str = "pending"  # pending | serial | done | failed
+    state: str = "pending"  # pending | parent | done | failed
 
 
-class _PoolExecutor:
-    """The retry-aware fan-out: rounds of chunk submission over
-    (re)built process pools, with per-chunk deadlines."""
+class _BatchExecutor:
+    """Runs a batch's cold requests: rounds of chunk submission over
+    (re)built process pools with per-chunk deadlines, then the
+    parent-side queue.  ``jobs=1`` skips the pool and queues every
+    request in the parent."""
 
     def __init__(
         self,
@@ -402,9 +290,17 @@ class _PoolExecutor:
         self.timeout_s = timeout_s
         self.results = results
         self.journal = journal
-        self.serial_queue: list[_PendingTask] = []
+        self.parent_queue: list[_PendingTask] = []
+        if jobs == 1:
+            for task in self.tasks:
+                self._queue_in_parent(task)
 
     # -- failure classification ------------------------------------------------
+
+    def _queue_in_parent(self, task: _PendingTask) -> None:
+        if task.state != "parent":
+            task.state = "parent"
+            self.parent_queue.append(task)
 
     def _finalize_failure(self, task: _PendingTask) -> None:
         task.state = "failed"
@@ -422,7 +318,8 @@ class _PoolExecutor:
         )
 
     def _note_attempt_failure(
-        self, task: _PendingTask, error_type: str, detail: str
+        self, task: _PendingTask, error_type: str, detail: str,
+        retryable: bool,
     ) -> None:
         """One execution attempt of ``task`` failed; decide its future."""
         task.attempts += 1
@@ -432,17 +329,19 @@ class _PoolExecutor:
             raise BatchExecutionError(
                 task.request, detail, attempts=task.attempts
             )
-        retryable = self.retry_policy.is_retryable_name(error_type)
         if not retryable or task.attempts >= self.retry_policy.max_attempts:
             self._finalize_failure(task)
             return
         self.report.faults.retried += 1
-        if task.attempts >= self.retry_policy.max_attempts - 1:
-            # Reserve the last attempt for the serial path: a failure
-            # there produces a clean local traceback, and a parent-side
-            # run cannot be lost to another worker crash.
-            task.state = "serial"
-            self.serial_queue.append(task)
+        if (
+            self.jobs == 1
+            or task.attempts >= self.retry_policy.max_attempts - 1
+        ):
+            # jobs=1 runs every attempt in the parent; a pool reserves
+            # the last one for it: a failure there produces a clean
+            # local traceback, and a parent-side run cannot be lost to
+            # another worker crash.
+            self._queue_in_parent(task)
         else:
             task.state = "pending"
 
@@ -455,8 +354,7 @@ class _PoolExecutor:
 
     # -- rounds ---------------------------------------------------------------
 
-    def _run_round(self, pending: list[_PendingTask], first: bool,
-                   descriptors: TraceDescriptors) -> None:
+    def _run_round(self, pending: list[_PendingTask], first: bool) -> None:
         if first:
             request_chunks = _chunk_cold_requests(
                 [task.request for task in pending], self.jobs
@@ -468,7 +366,12 @@ class _PoolExecutor:
             # cannot take innocent chunk-mates down with it again.
             chunks = [[task] for task in pending]
         self.report.chunks += len(chunks)
-        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(chunks)))
+        # Fork, whatever the platform default: workers must inherit the
+        # trace cache the parent filled in _materialize_traces.
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(chunks)),
+            mp_context=multiprocessing.get_context("fork"),
+        )
         abandon = False
         pool_broken = False
         try:
@@ -479,8 +382,8 @@ class _PoolExecutor:
                 future = pool.submit(
                     _simulate_chunk,
                     [task.request for task in chunk],
-                    descriptors,
                     [task.index for task in chunk],
+                    self.retry_policy,
                 )
                 futures[future] = chunk
                 deadlines[future] = (
@@ -509,6 +412,7 @@ class _PoolExecutor:
                                 "worker process crashed mid-chunk "
                                 "(BrokenProcessPool); results of this "
                                 "chunk's attempt were lost",
+                                retryable=True,
                             )
                         continue
                     self.report.faults.merge_counters(counter_delta)
@@ -517,7 +421,8 @@ class _PoolExecutor:
                             self._record_success(task, payload)
                         else:
                             self._note_attempt_failure(
-                                task, payload["type"], payload["traceback"]
+                                task, payload["type"], payload["traceback"],
+                                payload["retryable"],
                             )
                     if self.journal is not None:
                         # One atomic ledger transaction per landed chunk:
@@ -546,6 +451,7 @@ class _PoolExecutor:
                                 task, "TimeoutError",
                                 f"chunk exceeded its {self.timeout_s}s "
                                 "timeout (worker hung); abandoned",
+                                retryable=True,
                             )
                 if abandon:
                     break
@@ -584,96 +490,69 @@ class _PoolExecutor:
             except (OSError, AttributeError, ValueError):  # pragma: no cover
                 pass
 
-    def _run_serial_queue(self) -> None:
-        for task in self.serial_queue:
-            time.sleep(
-                min(self.retry_policy.delay_for(task.attempts, task.key), 1.0)
-            )
-            try:
-                self._record_success(task, execute(task.request))
+    def _run_parent_queue(self) -> None:
+        """Run each queued task in the parent until it is done or failed."""
+        for task in self.parent_queue:
+            while task.state == "parent":
+                if task.attempts:
+                    time.sleep(min(
+                        self.retry_policy.delay_for(task.attempts, task.key),
+                        1.0,
+                    ))
+                try:
+                    stats = execute(task.request)
+                except Exception as exc:
+                    self._note_attempt_failure(
+                        task, type(exc).__name__, traceback.format_exc(),
+                        self.retry_policy.is_retryable(exc),
+                    )
+                    continue
+                self._record_success(task, stats)
                 if self.journal is not None:
                     self.journal.commit()
-            except Exception as exc:
-                task.attempts += 1
-                task.error_type = type(exc).__name__
-                task.detail = traceback.format_exc()
-                self._finalize_failure(task)
 
-    def execute(self) -> None:
-        descriptors, segments = _export_traces(
-            [task.request for task in self.tasks]
-        )
-        try:
-            first = True
-            rounds = 0
-            max_rounds = 3 * max(1, self.retry_policy.max_attempts) + 3
-            while True:
-                pending = [t for t in self.tasks if t.state == "pending"]
-                if not pending:
-                    break
-                rounds += 1
-                if rounds > max_rounds:  # pragma: no cover - safety valve
-                    raise ReproError(
-                        f"batch did not converge after {rounds} pool rounds; "
-                        f"{len(pending)} request(s) still pending"
-                    )
-                if not first:
-                    time.sleep(min(max(
-                        self.retry_policy.delay_for(t.attempts, t.key)
-                        for t in pending
-                    ), 1.0))
-                self._run_round(pending, first, descriptors)
-                first = False
-            self._run_serial_queue()
-        finally:
-            _release_segments(segments)
+    def _materialize_traces(self) -> None:
+        """Build (or disk-load) each distinct cold trace once, before
+        the first fork, so every worker inherits it."""
+        from ..workloads.registry import get_trace
 
-
-def _run_serial(
-    cold: list[tuple[str, RunRequest]],
-    report: BatchReport,
-    on_error: str,
-    retry_policy: RetryPolicy,
-    results: dict[str, SimulationStats | None],
-    journal=None,
-) -> None:
-    for key, request in cold:
-        attempts = 0
-        while True:
-            attempts += 1
+        keys = {
+            (task.request.app, task.request.input_name,
+             task.request.resolved_trace_len())
+            for task in self.tasks
+        }
+        for app, input_name, trace_len in sorted(keys):
             try:
-                stats = execute(request)
-                store_stats(request, stats, key)
-                results[key] = stats
-                if journal is not None:
-                    journal.record(key, request, stats)
-                    journal.commit()
+                get_trace(app, input_name, trace_len)
+            except Exception:
+                # The request's own attempt raises this again, under
+                # the batch's on_error contract.
+                continue
+
+    def run(self) -> None:
+        if self.jobs > 1:
+            self._materialize_traces()
+        first = True
+        rounds = 0
+        max_rounds = 3 * max(1, self.retry_policy.max_attempts) + 3
+        while True:
+            pending = [t for t in self.tasks if t.state == "pending"]
+            if not pending:
                 break
-            except Exception as exc:
-                detail = traceback.format_exc()
-                if on_error == "raise":
-                    raise BatchExecutionError(
-                        request, detail, attempts=attempts
-                    ) from exc
-                if (
-                    retry_policy.is_retryable(exc)
-                    and attempts < retry_policy.max_attempts
-                ):
-                    report.faults.retried += 1
-                    time.sleep(retry_policy.delay_for(attempts, key))
-                    continue
-                if on_error == "skip":
-                    report.faults.skipped += 1
-                    report.faults.failures.append({
-                        "request": repr(request),
-                        "error": type(exc).__name__,
-                        "attempts": attempts,
-                    })
-                    results[key] = None
-                    break
-                raise BatchExecutionError(
-                    request, detail, attempts=attempts
-                ) from exc
+            rounds += 1
+            if rounds > max_rounds:  # pragma: no cover - safety valve
+                raise ReproError(
+                    f"batch did not converge after {rounds} pool rounds; "
+                    f"{len(pending)} request(s) still pending"
+                )
+            if not first:
+                time.sleep(min(max(
+                    self.retry_policy.delay_for(t.attempts, t.key)
+                    for t in pending
+                ), 1.0))
+            self._run_round(pending, first)
+            first = False
+        self._run_parent_queue()
 
 
 def run_batch(
@@ -737,21 +616,19 @@ def run_batch(
     if journal is not None:
         journal.commit()
 
-    # 3. execute the cold remainder (serial fallback or process fan-out),
-    # 4. writing worker results back into both cache layers here.
-    if cold and jobs == 1:
-        _run_serial(cold, report, on_error, retry_policy, results, journal)
-    elif cold:
-        _PoolExecutor(
+    # 3. execute the cold remainder (in the parent, or fanned out),
+    # 4. writing every result back into both cache layers here.
+    if cold:
+        _BatchExecutor(
             cold, jobs, report, on_error, retry_policy, timeout_s, results,
             journal,
-        ).execute()
+        ).run()
     if journal is not None:
         journal.commit()
 
     # Parent-side graceful degradations during this batch (quarantined
-    # cache entries, failed disk writes, shm export issues) land in the
-    # report too; worker-side deltas were merged per chunk.
+    # cache entries, failed disk writes) land in the report too;
+    # worker-side deltas were merged per chunk.
     report.faults.merge_counters(resilience.counters_since(counters_before))
     report.elapsed_s = time.perf_counter() - started
     _last_report = report

@@ -13,11 +13,11 @@ and the artifact store (``harness/artifacts.py``):
   counters plus an itemized failure list, attached to every
   :class:`~repro.harness.parallel.BatchReport`;
 * the **global fallback counters** — every place the stack degrades
-  gracefully (shared-memory export/attach/cleanup failures, disk-cache
-  write failures, quarantined artifacts) calls :func:`note_fallback`
-  instead of silently passing, so ``last_batch_report()`` can account
-  for each one.  Counters are process-local; worker processes ship
-  their deltas back with each chunk result and the parent merges them.
+  gracefully (disk-cache and ledger write failures, quarantined
+  artifacts) calls :func:`note_fallback` instead of silently passing,
+  so ``last_batch_report()`` can account for each one.  Counters are
+  process-local; worker processes ship their deltas back with each
+  chunk result and the parent merges them.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: Transient failures: the environment (a killed worker, a torn cache
-#: file, an exhausted /dev/shm) may well have healed by the next attempt.
+#: file, a full disk) may well have healed by the next attempt.
 RETRYABLE_TYPES = (
     BrokenProcessPool,
     TimeoutError,
@@ -71,8 +71,6 @@ NON_RETRYABLE_TYPES = (
     ProfilingError,
 )
 
-_RETRYABLE_NAMES = frozenset(t.__name__ for t in RETRYABLE_TYPES)
-
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
@@ -91,17 +89,13 @@ class RetryPolicy:
     seed: int = 0
 
     def is_retryable(self, exc: BaseException) -> bool:
-        """Classify a caught exception (parent-side failures)."""
+        """Classify a caught exception, where it was caught (worker or
+        parent).  Anything outside :data:`RETRYABLE_TYPES` is treated
+        as deterministic: a simulation raising the same programming
+        error three times helps nobody."""
         if isinstance(exc, NON_RETRYABLE_TYPES):
             return False
         return isinstance(exc, RETRYABLE_TYPES)
-
-    def is_retryable_name(self, type_name: str) -> bool:
-        """Classify by exception type name (worker failures arrive as
-        formatted text, not live objects).  Unknown names are treated
-        as non-retryable: a deterministic simulation raising the same
-        programming error three times helps nobody."""
-        return type_name in _RETRYABLE_NAMES
 
     def delay_for(self, attempt: int, key: str = "") -> float:
         """Seconds to sleep before retry number ``attempt`` (1-based)."""
@@ -129,7 +123,7 @@ class FaultReport:
     skipped: int = 0
     #: Disk artifacts that failed validation and were quarantined.
     corrupt_artifacts: int = 0
-    #: Silent-degradation events (shm/disk fallbacks), from the global
+    #: Silent-degradation events (disk/ledger fallbacks), from the global
     #: counters — see :func:`note_fallback`.
     degraded_fallbacks: int = 0
     #: fallback site -> count, the breakdown behind degraded_fallbacks.
@@ -177,9 +171,6 @@ class FaultReport:
 # --- global fallback counters ------------------------------------------------
 #
 # Process-local accounting of every graceful degradation.  Names in use:
-#   shm_export      parent could not stage a trace in shared memory
-#   shm_attach      worker could not attach/decode a shared segment
-#   shm_cleanup     parent could not close/unlink a segment
 #   disk_write      a cache write failed (entry simply not persisted)
 #   corrupt_artifact  a disk artifact failed validation (quarantined)
 #   sim_fallback:<policy>:<reason>

@@ -28,6 +28,7 @@ import json
 import os
 import sys
 
+from ..cli import add_run_options, export_run_options
 from ..errors import ReproError
 from ..harness.ledger import Ledger, resume_experiment
 
@@ -250,15 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--name", help="experiment name (default: the figure id)")
     run.add_argument("--note", default="", help="free-form note to store")
-    run.add_argument("--apps", help="comma-separated app subset")
+    add_run_options(run)
     run.add_argument("--policies",
                      help="bench only: comma-separated policy subset")
-    run.add_argument("--trace-len", type=int,
-                     help="PW lookups per trace (sets REPRO_TRACE_LEN)")
-    run.add_argument("--jobs", type=int, help="worker processes")
-    run.add_argument("--on-error", choices=("raise", "skip", "retry"))
-    run.add_argument("--timeout", type=float,
-                     help="per-chunk timeout in seconds")
     _add_common(run)
 
     resume = commands.add_parser(
@@ -267,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "experiment", help="experiment id, or latest run with this name"
     )
-    resume.add_argument("--jobs", type=int)
-    resume.add_argument("--on-error", choices=("raise", "skip", "retry"))
-    resume.add_argument("--timeout", type=float)
+    add_run_options(resume, workload=False)
     resume.add_argument(
         "--force", action="store_true",
         help="take over even a RUNNING experiment with a fresh heartbeat",
@@ -315,17 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-
-    if getattr(args, "apps", None):
-        os.environ["REPRO_APPS"] = args.apps
-    if getattr(args, "trace_len", None) is not None:
-        os.environ["REPRO_TRACE_LEN"] = str(args.trace_len)
-    if getattr(args, "jobs", None):
-        os.environ["REPRO_JOBS"] = str(args.jobs)
-    if getattr(args, "on_error", None):
-        os.environ["REPRO_ON_ERROR"] = args.on_error
-    if getattr(args, "timeout", None):
-        os.environ["REPRO_TIMEOUT_S"] = str(args.timeout)
+    export_run_options(args)
 
     handlers = {
         ("experiments", "run"): _cmd_run,

@@ -207,27 +207,6 @@ def get_trace(
     return cached
 
 
-def seed_trace_cache(
-    app: str, input_name: str, n_lookups: int, trace: Trace
-) -> None:
-    """Install an externally supplied trace (e.g. received over shared
-    memory by a batch worker) unless the key is already present.
-
-    A trace whose length contradicts the key is rejected (counted as a
-    ``shm_attach`` degradation): seeding it would serve a wrong-geometry
-    trace to every later :func:`get_trace` call in the process, which is
-    far worse than regenerating.
-    """
-    if len(trace) != n_lookups:
-        from ..harness import resilience
-
-        resilience.note_fallback("shm_attach")
-        return
-    key = (app, input_name, n_lookups)
-    if key not in _trace_cache:
-        _remember(key, trace)
-
-
 def trace_cache_stats() -> dict[str, int]:
     """Counters since the last :func:`clear_trace_cache` (copy)."""
     return dict(_cache_counters, cached=len(_trace_cache))

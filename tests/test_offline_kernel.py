@@ -256,12 +256,12 @@ class TestFallbackVisibility:
         report = FaultReport()
         report.merge_counters({
             "sim_fallback:belady:miss_classifier": 2,
-            "shm_attach": 1,
+            "disk_write": 1,
         })
         assert report.sim_fallbacks == {
             "sim_fallback:belady:miss_classifier": 2
         }
-        assert report.fallbacks == {"shm_attach": 1}
+        assert report.fallbacks == {"disk_write": 1}
         assert report.degraded_fallbacks == 1
         assert report.total_faults == 1
 

@@ -1,5 +1,5 @@
 """Columnar trace engine: packed columns, the v2 binary format, the
-disk/LRU trace caches, memo-key hygiene and the shared-memory fan-out.
+disk/LRU trace caches, memo-key hygiene and the pooled fan-out.
 
 Traces are built and shipped columnar; the generator's object walk
 survives as an RNG-order oracle, and both must produce bit-identical
@@ -69,9 +69,6 @@ def test_columns_payload_roundtrip(lookups):
     columns = TraceColumns.from_lookups(lookups)
     payload = columns.to_payload()
     assert len(payload) == TraceColumns.payload_size(len(lookups))
-    restored = TraceColumns.from_payload(payload, len(lookups))
-    assert restored == columns
-    assert restored.materialize() == lookups
 
 
 def test_columns_reject_ragged_and_overflow():
@@ -445,46 +442,41 @@ def test_prepared_shares_pass_across_equivalent_set_index_fns():
     assert first is second  # one memo entry, one derivation pass
 
 
-# --- shared-memory fan-out ----------------------------------------------------
+# --- pooled fan-out ------------------------------------------------------------
 
-def test_shm_export_attach_roundtrip(monkeypatch):
-    """The worker-side attach reconstructs the exact parent trace."""
-    pytest.importorskip("multiprocessing.shared_memory")
-    from repro.harness.parallel import _attach_traces, _export_traces, _release_segments
-    from repro.harness.runner import RunRequest
+def test_parallel_batch_builds_each_trace_once_in_parent(monkeypatch, tmp_path):
+    """A pooled batch builds each cold trace once, in the parent; the
+    forked workers inherit it and the results match the serial batch."""
+    from repro.harness.parallel import run_batch
+    from repro.harness.runner import RunRequest, clear_memory_cache
     from repro.workloads import registry
 
     monkeypatch.setenv("REPRO_CACHE", "0")
-    registry.clear_trace_cache()
-    request = RunRequest(app="kafka", policy="lru", trace_len=1200)
-    descriptors, segments = _export_traces([request])
-    try:
-        assert ("kafka", "default", 1200) in descriptors
-        parent = registry.get_trace("kafka", "default", 1200)
-        registry.clear_trace_cache()  # worker starts cold
-        _attach_traces(descriptors)
-        seeded = registry._trace_cache[("kafka", "default", 1200)]
-        assert seeded.has_columns()
-        assert seeded == parent
-    finally:
-        _release_segments(segments)
-        registry.clear_trace_cache()
+    builds = tmp_path / "builds"
+    real_build = registry.build_app_trace
 
+    def logged_build(profile, input_name, n_lookups):
+        with open(builds, "a") as log:
+            log.write(f"{profile.name} {os.getpid()}\n")
+        return real_build(profile, input_name, n_lookups)
 
-def test_parallel_batch_identical_with_shm(monkeypatch):
-    from repro.harness.parallel import run_batch
-    from repro.harness.runner import RunRequest, clear_memory_cache
-
-    monkeypatch.setenv("REPRO_CACHE", "0")
+    monkeypatch.setattr(registry, "build_app_trace", logged_build)
     requests = [
         RunRequest(app=app, policy=policy, trace_len=1500)
         for app in ("kafka", "clang")
         for policy in ("lru", "srrip")
     ]
+    registry.clear_trace_cache()
     clear_memory_cache()
-    serial, _ = run_batch(requests, jobs=1)
-    clear_memory_cache()
-    parallel, report = run_batch(requests, jobs=2)
-    assert parallel == serial
-    assert report.executed == len(requests)
-    clear_memory_cache()
+    try:
+        parallel, report = run_batch(requests, jobs=2)
+        assert report.executed == len(requests)
+        built = [line.split() for line in builds.read_text().splitlines()]
+        assert sorted(app for app, _ in built) == ["clang", "kafka"]
+        assert {int(pid) for _, pid in built} == {os.getpid()}
+        clear_memory_cache()
+        serial, _ = run_batch(requests, jobs=1)
+        assert parallel == serial
+    finally:
+        clear_memory_cache()
+        registry.clear_trace_cache()
