@@ -40,6 +40,30 @@ SQLite.  Ledger write failures degrade gracefully (``ledger_write``
 fallback counter); a corrupt ledger *file* is quarantined like any
 other artifact and a fresh one is started.
 
+Each experiment row also records the
+:data:`~repro.harness.artifacts.MODEL_VERSION` it was computed under,
+and a resume refuses (unless forced) to merge journaled results across
+versions, so a journaled row never outlives the simulator that
+produced it.
+
+**Connection lifetime.**  Closing the last connection to a WAL-mode
+database makes SQLite checkpoint the WAL into the main file and sync
+it, which costs tens of milliseconds — per experiment, when every
+:class:`ExperimentRun` closed its ledger.  :meth:`Ledger.close`
+therefore *parks* the connection (rolling back any open transaction,
+as a real close would) and the next :meth:`Ledger.open` of the same
+file by the same process and thread takes it back, skipping the
+integrity check and schema step it already ran.  Any other open first
+really closes the parked connection, and then connects, checks and
+quarantines exactly as a first open does; a file that was replaced or
+unlinked (a different ``(st_dev, st_ino)``) is never served from the
+parked connection.  The checkpoint runs once, when an ``atexit`` hook
+really closes the parked connection, and leaves the file at rest as a
+per-experiment close used to.  Crash safety is unchanged: every
+journaled chunk is still one committed transaction, and the WAL a
+SIGKILL leaves behind is recovered by the next open, as it always was.
+A forked child never reuses or closes a connection it inherited.
+
 The ``repro query`` CLI (:mod:`repro.tools.ledger_tool`) renders the
 store as table/csv/json and diffs per-request metrics between two
 recorded runs — e.g. the same figure at two git hashes.
@@ -47,7 +71,9 @@ recorded runs — e.g. the same figure at two git hashes.
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -93,7 +119,8 @@ CREATE TABLE IF NOT EXISTS experiments (
     heartbeat_s  REAL,
     owner_pid    INTEGER,
     env          TEXT NOT NULL DEFAULT '{}',
-    note         TEXT NOT NULL DEFAULT ''
+    note         TEXT NOT NULL DEFAULT '',
+    model_version TEXT NOT NULL DEFAULT ''
 );
 CREATE TABLE IF NOT EXISTS requests (
     experiment_id INTEGER NOT NULL,
@@ -142,10 +169,16 @@ def heartbeat_seconds() -> float:
     return max(0.2, value)
 
 
+@functools.lru_cache(maxsize=1)
 def _git_hash() -> str:
+    """HEAD of the checkout the imported ``repro`` package lives in.
+
+    Resolved once per process, and independent of the caller's cwd.
+    """
+    package = Path(__file__).resolve().parents[1]
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", "-C", str(package), "rev-parse", "HEAD"],
             capture_output=True, text=True, timeout=10.0,
         )
     except (OSError, subprocess.TimeoutExpired):
@@ -173,6 +206,58 @@ def _stats_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _file_identity(path: Path) -> tuple[int, int] | None:
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
+#: The one idle connection :meth:`Ledger.close` parked, as
+#: ``(owner, identity, connection)``: ``owner`` is ``(pid, thread id,
+#: resolved path)`` and ``identity`` the file's ``(st_dev, st_ino)``.
+_parked: tuple | None = None
+_park_lock = threading.Lock()
+#: Connections a forked child inherited from its parent.  They are held
+#: here, never used and never closed: closing one could checkpoint or
+#: unlink the parent's WAL.
+_inherited: list[sqlite3.Connection] = []
+
+
+def _take_parked() -> tuple | None:
+    global _parked
+    with _park_lock:
+        parked, _parked = _parked, None
+    return parked
+
+
+def _release(parked: tuple) -> None:
+    owner, _identity, db = parked
+    if owner[0] != os.getpid():
+        _inherited.append(db)
+        return
+    try:
+        db.close()
+    except sqlite3.Error:  # pragma: no cover - close never really fails
+        pass
+
+
+def _release_parked() -> None:
+    """Really close this process's parked connection.
+
+    Registered with :mod:`atexit`: when it is the last connection to
+    the file, SQLite checkpoints the WAL into the database and removes
+    it, leaving the file at rest.
+    """
+    parked = _take_parked()
+    if parked is not None:
+        _release(parked)
+
+
+atexit.register(_release_parked)
+
+
 class Ledger:
     """One open connection to the experiment store.
 
@@ -182,9 +267,17 @@ class Ledger:
     WAL-mode SQLite guarantees the last committed transaction survives.
     """
 
-    def __init__(self, path: Path, connection: sqlite3.Connection):
+    def __init__(
+        self,
+        path: Path,
+        connection: sqlite3.Connection,
+        owner: tuple[int, int, str],
+        identity: tuple[int, int] | None,
+    ):
         self.path = path
         self._db = connection
+        self._owner = owner
+        self._identity = identity
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -192,14 +285,25 @@ class Ledger:
     def open(cls, path: str | os.PathLike | None = None) -> "Ledger | None":
         """Open (creating or recovering) the store; ``None`` when disabled.
 
-        A file that is not a valid SQLite database — bit rot, a torn
-        page, injected corruption — is quarantined as ``*.corrupt``
-        (with its WAL sidecars removed) and a fresh store is started;
-        the event is counted, never silent.
+        The connection this process and thread parked on the same file
+        is taken back as is.  Otherwise any parked connection is really
+        closed first, and a file that is not a valid SQLite database —
+        bit rot, a torn page, injected corruption — is quarantined as
+        ``*.corrupt`` (with its WAL sidecars removed) and a fresh store
+        is started; the event is counted, never silent.
         """
         resolved = ledger_path(path)
         if resolved is None:
             return None
+        owner = (
+            os.getpid(), threading.get_ident(), os.path.realpath(resolved)
+        )
+        identity = _file_identity(resolved)
+        parked = _take_parked()
+        if parked is not None:
+            if identity is not None and parked[:2] == (owner, identity):
+                return cls(resolved, parked[2], owner, identity)
+            _release(parked)
         try:
             resolved.parent.mkdir(parents=True, exist_ok=True)
         except OSError:
@@ -208,18 +312,21 @@ class Ledger:
         if resolved.exists():
             faultinject.maybe_corrupt_artifact(resolved, "ledger")
         try:
-            return cls(resolved, cls._connect(resolved))
+            db = cls._connect(resolved)
         except sqlite3.DatabaseError as exc:
             from .artifacts import quarantine
 
             quarantine(resolved, f"ledger is not a readable database ({exc})")
             for suffix in ("-wal", "-shm"):
                 Path(str(resolved) + suffix).unlink(missing_ok=True)
-            return cls(resolved, cls._connect(resolved))
+            db = cls._connect(resolved)
+        return cls(resolved, db, owner, _file_identity(resolved))
 
     @staticmethod
     def _connect(path: Path) -> sqlite3.Connection:
-        db = sqlite3.connect(path, timeout=30.0)
+        # A parked connection may be really closed from another thread
+        # (the atexit hook runs on the main one); reuse stays per thread.
+        db = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
         try:
             db.row_factory = sqlite3.Row
             db.execute("PRAGMA journal_mode=WAL")
@@ -228,6 +335,15 @@ class Ledger:
             if check != "ok":
                 raise sqlite3.DatabaseError(f"quick_check: {check}")
             db.executescript(_SCHEMA)
+            columns = {
+                row["name"]
+                for row in db.execute("PRAGMA table_info(experiments)")
+            }
+            if "model_version" not in columns:
+                db.execute(
+                    "ALTER TABLE experiments"
+                    " ADD COLUMN model_version TEXT NOT NULL DEFAULT ''"
+                )
             db.commit()
         except sqlite3.DatabaseError:
             db.close()
@@ -235,10 +351,32 @@ class Ledger:
         return db
 
     def close(self) -> None:
-        try:
-            self._db.close()
-        except sqlite3.Error:  # pragma: no cover - close never really fails
-            pass
+        """Roll back uncommitted work and park the connection.
+
+        The connection is parked for this process's next :meth:`open`
+        of the same file (replacing, and really closing, any connection
+        parked before).  It is closed for real when the file no longer
+        has the identity it was opened with.
+        """
+        global _parked
+        db, self._db = self._db, None
+        if db is None:
+            return
+        parkable = self._owner[0] == os.getpid()
+        if parkable:
+            try:
+                if db.in_transaction:
+                    db.rollback()
+            except sqlite3.Error:
+                parkable = False
+        identity = _file_identity(self.path)
+        if not parkable or identity is None or identity != self._identity:
+            _release((self._owner, self._identity, db))
+            return
+        with _park_lock:
+            previous, _parked = _parked, (self._owner, self._identity, db)
+        if previous is not None:
+            _release(previous)
 
     # -- experiment rows -------------------------------------------------------
 
@@ -250,9 +388,9 @@ class Ledger:
         with self._db:
             cursor = self._db.execute(
                 "INSERT INTO experiments"
-                " (name, state, git_hash, created_at, env, note)"
-                " VALUES (?, 'PENDING', ?, ?, ?, ?)",
-                (name, _git_hash(), time.time(),
+                " (name, state, git_hash, model_version, created_at, env,"
+                " note) VALUES (?, 'PENDING', ?, ?, ?, ?, ?)",
+                (name, _git_hash(), artifacts.MODEL_VERSION, time.time(),
                  json.dumps(env, sort_keys=True), note),
             )
         return int(cursor.lastrowid)
@@ -693,8 +831,9 @@ def resume_experiment(
     artifact store's memory (0 re-executions — ``re_executed`` in the
     returned summary counts only truly cold runs, straight from
     ``BatchReport.executed``); corrupt rows are demoted and recomputed.
-    A RUNNING experiment with a fresh heartbeat is refused unless
-    ``force``; a stale one is marked INTERRUPTED and taken over.
+    An experiment recorded under another ``MODEL_VERSION``, or a
+    RUNNING one with a fresh heartbeat, is refused unless ``force``; a
+    stale RUNNING one is marked INTERRUPTED and taken over.
     Because every simulation is deterministic, the merged results are
     bit-identical to an uninterrupted run.
     """
@@ -717,6 +856,15 @@ def resume_experiment(
             "resumed": False, "requests": total, "ledger_served": done,
             "re_executed": 0,
         }
+    recorded_version = row["model_version"]
+    if recorded_version != artifacts.MODEL_VERSION and not force:
+        ledger.close()
+        raise ReproError(
+            f"experiment {experiment_id} was recorded under model version "
+            f"{recorded_version!r} but this code is model version "
+            f"{artifacts.MODEL_VERSION!r}; its journaled results may differ "
+            "from what this code computes (pass force to merge them anyway)"
+        )
     counters_before = resilience.global_counters()
     if row["state"] == "RUNNING":
         if not force and not ledger.is_stale(row):

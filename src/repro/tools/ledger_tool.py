@@ -265,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_options(resume, workload=False)
     resume.add_argument(
         "--force", action="store_true",
-        help="take over even a RUNNING experiment with a fresh heartbeat",
+        help="take over even a RUNNING experiment with a fresh heartbeat,"
+             " and merge journaled results recorded under another model"
+             " version",
     )
     _add_common(resume)
 

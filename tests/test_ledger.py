@@ -23,7 +23,8 @@ import pytest
 
 from repro import faultinject
 from repro.errors import FaultInjectionError, ReproError
-from repro.harness import resilience
+from repro.harness import artifacts, resilience
+from repro.harness import ledger as ledger_module
 from repro.harness.ledger import (
     ExperimentRun,
     Ledger,
@@ -67,6 +68,7 @@ def _ledger_hygiene(monkeypatch):
     yield
     faultinject.reset()
     resilience.reset_counters()
+    ledger_module._release_parked()
     _cold()
 
 
@@ -150,6 +152,8 @@ class TestLedgerStore:
         ledger = Ledger.open(path)
         ledger.create_experiment("old")
         ledger.close()
+        # The file rots at rest: after the process that wrote it exited.
+        ledger_module._release_parked()
         path.write_bytes(b"\x00garbage, not a database\x00" * 64)
         reopened = Ledger.open(path)
         assert reopened is not None
@@ -164,6 +168,8 @@ class TestLedgerStore:
         ledger = Ledger.open(path)
         ledger.create_experiment("doomed")
         ledger.close()
+        # The file rots at rest: after the process that wrote it exited.
+        ledger_module._release_parked()
         monkeypatch.setenv("REPRO_FAULT_SPEC", "artifact:ledger:corrupt")
         monkeypatch.setenv(
             "REPRO_FAULT_STATE", str(tmp_path / "fault-state")
@@ -173,6 +179,41 @@ class TestLedgerStore:
         assert reopened.list_experiments() == []
         assert list(tmp_path.glob("l.sqlite.*corrupt*"))
         reopened.close()
+
+    def test_git_hash_is_the_imported_package_checkout(
+        self, tmp_path, monkeypatch
+    ):
+        src = Path(__file__).resolve().parents[1] / "src"
+        head = subprocess.run(
+            ["git", "-C", str(src), "rev-parse", "HEAD"],
+            capture_output=True, text=True,
+        )
+        if head.returncode != 0:
+            pytest.skip("src is not in a git checkout")
+        monkeypatch.chdir(tmp_path)  # not a git checkout
+        ledger = Ledger.open(tmp_path / "l.sqlite")
+        row = ledger.experiment(ledger.create_experiment("where"))
+        ledger.close()
+        assert row["git_hash"] == head.stdout.strip()
+
+    def test_model_version_column_added_to_existing_ledger(self, tmp_path):
+        path = tmp_path / "l.sqlite"
+        old_schema = "\n".join(
+            line for line in ledger_module._SCHEMA.splitlines()
+            if "model_version" not in line
+        ).replace("DEFAULT '',\n);", "DEFAULT ''\n);")
+        con = sqlite3.connect(path)
+        con.executescript(old_schema)
+        con.execute(
+            "INSERT INTO experiments (name, created_at) VALUES ('old', 0)"
+        )
+        con.commit()
+        con.close()
+        ledger = Ledger.open(path)
+        assert ledger.find("old")["model_version"] == ""
+        fresh = ledger.experiment(ledger.create_experiment("new"))
+        assert fresh["model_version"] == artifacts.MODEL_VERSION
+        ledger.close()
 
     def test_stale_heartbeat_detection(self, tmp_path):
         ledger = Ledger.open(tmp_path / "l.sqlite")
@@ -187,6 +228,113 @@ class TestLedgerStore:
             )
         assert ledger.is_stale(ledger.experiment(experiment_id))
         ledger.close()
+
+
+class TestConnectionLifetime:
+    """``close`` parks the connection; the real close runs at exit."""
+
+    def test_runs_on_one_path_connect_once(self, tmp_path, monkeypatch):
+        db = tmp_path / "l.sqlite"
+        connects = []
+        connect = Ledger._connect
+
+        def counting(path):
+            connects.append(path)
+            return connect(path)
+
+        monkeypatch.setattr(Ledger, "_connect", staticmethod(counting))
+        for index in range(5):
+            with ExperimentRun(f"run{index}", path=db) as record:
+                pass
+            assert record.state == "COMPLETE"
+        assert connects == [db]
+        ledger = Ledger.open(db)
+        assert [row["state"] for row in ledger.list_experiments()] == [
+            "COMPLETE"] * 5
+        ledger.close()
+
+    def test_unlinked_file_reopens_as_empty_store(self, tmp_path):
+        path = tmp_path / "l.sqlite"
+        ledger = Ledger.open(path)
+        ledger.create_experiment("gone")
+        ledger.close()
+        parked = ledger_module._parked[2]
+        for suffix in ("", "-wal", "-shm"):
+            Path(str(path) + suffix).unlink(missing_ok=True)
+        reopened = Ledger.open(path)
+        assert reopened._db is not parked
+        assert reopened.list_experiments() == []
+        reopened.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            parked.execute("SELECT 1")  # really closed, not leaked
+
+    def test_close_rolls_back_uncommitted_work(self, tmp_path):
+        path = tmp_path / "l.sqlite"
+        ledger = Ledger.open(path)
+        ledger._db.execute(
+            "INSERT INTO experiments (name, created_at) VALUES ('torn', 0)"
+        )
+        assert ledger._db.in_transaction
+        ledger.close()
+        reopened = Ledger.open(path)
+        assert reopened.list_experiments() == []
+        reopened.close()
+
+    def test_process_exit_checkpoints_the_wal(self, tmp_path):
+        db = tmp_path / "l.sqlite"
+        wal = Path(str(db) + "-wal")
+        script = (
+            "import os, sys\n"
+            "from repro.harness.ledger import ExperimentRun\n"
+            "for name in ('one', 'two'):\n"
+            "    with ExperimentRun(name, path=sys.argv[1]):\n"
+            "        pass\n"
+            "print(os.path.exists(sys.argv[1] + '-wal'))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(db)],
+            capture_output=True, text=True, timeout=120.0, env=env,
+            cwd=tmp_path,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "True"  # not checkpointed per run
+        assert not wal.exists()  # ... but once, at exit
+        ledger = Ledger.open(db)
+        assert [(row["name"], row["state"])
+                for row in ledger.list_experiments()] == [
+            ("one", "COMPLETE"), ("two", "COMPLETE")]
+        ledger.close()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_its_own_connection(self, tmp_path):
+        path = tmp_path / "l.sqlite"
+        ledger = Ledger.open(path)
+        ledger.create_experiment("parent")
+        ledger.close()
+        parked = ledger_module._parked[2]
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                child = Ledger.open(path)
+                own = child._db is not parked
+                child.create_experiment("child")
+                child.close()
+                ledger_module._release_parked()  # the child's own exit
+                kept = any(db is parked for db in ledger_module._inherited)
+                code = 0 if own and kept else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        reopened = Ledger.open(path)
+        assert reopened._db is parked
+        reopened.create_experiment("after")
+        assert [row["name"] for row in reopened.list_experiments()] == [
+            "parent", "child", "after"]
+        reopened.close()
 
 
 class TestJournalWiring:
@@ -322,6 +470,38 @@ class TestResume:
         out = resume_experiment(str(experiment_id), path=db)
         assert out["state"] == "COMPLETE"
         assert out["faults"]["notes"].get("note:ledger_takeover") == 1
+
+    def test_resume_refuses_other_model_version(self, tmp_path, monkeypatch):
+        db = tmp_path / "l.sqlite"
+        requests = _small_batch()
+        with pytest.raises(KeyboardInterrupt):
+            with ExperimentRun("cut", path=db) as record:
+                record.journal.register(
+                    [(request.cache_key(), request) for request in requests]
+                )
+                run_many(requests[:2])
+                raise KeyboardInterrupt
+        assert record.state == "INTERRUPTED"
+        experiment_id = record.experiment_id
+        recorded = artifacts.MODEL_VERSION
+        monkeypatch.setattr(artifacts, "MODEL_VERSION", "bumped")
+        _cold()
+        with pytest.raises(ReproError, match="model version") as refused:
+            resume_experiment(str(experiment_id), path=db)
+        assert repr(recorded) in str(refused.value)
+        assert "'bumped'" in str(refused.value)
+        # Refused before any journaled row was published or touched.
+        for request in requests:
+            store_key = artifacts.key("stats", request.cache_key())
+            assert artifacts.lookup(store_key, dict) == (None, None)
+        ledger = Ledger.open(db)
+        assert ledger.experiment(experiment_id)["state"] == "INTERRUPTED"
+        assert ledger.pending_count(experiment_id) == 1
+        ledger.close()
+        out = resume_experiment(str(experiment_id), path=db, force=True)
+        assert out["state"] == "COMPLETE"
+        assert out["ledger_served"] == 2
+        assert out["re_executed"] == 1
 
     def test_resume_unknown_or_disabled(self, tmp_path, monkeypatch):
         with pytest.raises(ReproError, match="matches"):
