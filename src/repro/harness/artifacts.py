@@ -6,10 +6,13 @@ their baseline runs, so the harness caches four kinds of artifact,
 named by :data:`KINDS` (the same names as
 :data:`repro.faultinject.ARTIFACT_KINDS`):
 
-* ``stats`` — one simulation's result; the payload is
-  :meth:`~repro.harness.runner.RunRequest.cache_key`;
+* ``stats`` — one simulation's result; the payload is the
+  :meth:`~repro.harness.runner.RunRequest.cache_key` of the request's
+  canonical form (:meth:`~repro.harness.runner.RunRequest.canonical`);
 * ``hitstats`` — the per-PW hit stats of one profiling replay
-  (:func:`repro.profiling.hitrate.collect_hit_stats`), as the
+  (:func:`repro.profiling.hitrate.collect_hit_stats`, or the arm that is
+  the same simulation, :data:`repro.profiling.hitrate.PROFILE_ARMS`),
+  keyed by :func:`hit_stats_slot`, as the
   ascending-start columns ``starts`` (uint64)/``hits``/``totals`` of a
   :class:`~repro.profiling.hitrate.HitStats`;
 * ``profile`` — one training input's FURBYS hint map, as the columns
@@ -263,8 +266,10 @@ def _kind_of(name: str) -> str | None:
 
 
 def _key_payload(kind: str, raw: dict) -> object:
-    """The key payload a JSON entry embeds: its request for ``stats``,
-    its identity for the other kinds.  ``None`` when the entry cannot be
+    """The key payload a JSON entry embeds: its request's canonical
+    cache key for ``stats`` (an entry stored under a request's own key
+    before requests were canonical no longer matches its name), its
+    identity for the other kinds.  ``None`` when the entry cannot be
     judged: a request stored with an unresolved trace length or warmup
     was keyed under the writer's ``REPRO_TRACE_LEN``, which need not be
     this environment's."""
@@ -274,7 +279,7 @@ def _key_payload(kind: str, raw: dict) -> object:
         request = raw["request"]
         if request["trace_len"] is None or request["warmup"] is None:
             return None
-        return RunRequest.from_json(request).cache_key()
+        return RunRequest.from_json(request).canonical().cache_key()
     identity = raw["identity"]
     if identity[-1] != LAYOUTS[kind]:
         raise ValueError(f"not the current {kind} layout")
@@ -500,6 +505,26 @@ def profiling_geometry(
     ]
 
 
+def hit_stats_slot(
+    app: str, input_name: str, trace_len: int, *, source: str, geometry: list,
+) -> tuple[str, Callable[[HitStats], dict]]:
+    """The store key and encoder of one profiling replay's hit stats:
+    the one place a ``hitstats`` identity is built."""
+    identity = [app, input_name, trace_len, source, geometry,
+                LAYOUTS["hitstats"]]
+
+    def encode(stats: HitStats) -> dict:
+        return {"identity": identity, "starts": stats.starts.tolist(),
+                "hits": stats.hits.tolist(), "totals": stats.totals.tolist()}
+
+    return key("hitstats", identity), encode
+
+
+def decode_hit_stats(raw: dict) -> HitStats:
+    """The columns of a stored ``hitstats`` entry."""
+    return HitStats.from_columns(raw["starts"], raw["hits"], raw["totals"])
+
+
 def shared_hit_stats(
     app: str,
     input_name: str,
@@ -511,26 +536,19 @@ def shared_hit_stats(
 ) -> HitStats:
     """Per-PW hit stats for one training trace, computed at most once.
 
-    The store keeps the three read-only columns as they are.
+    The store keeps the three read-only columns as they are.  The
+    profiling replay runs here only when no arm of the same simulation
+    published them first (see :func:`repro.harness.runner.execute`).
     """
-    identity = [app, input_name, trace_len, source, geometry,
-                LAYOUTS["hitstats"]]
-
     def compute() -> HitStats:
         from ..profiling.hitrate import collect_hit_stats
 
         trace = get_trace(app, input_name, trace_len)
         return collect_hit_stats(trace, config, source=source)
 
-    return fetch(
-        key("hitstats", identity), compute,
-        encode=lambda stats: {"identity": identity,
-                              "starts": stats.starts.tolist(),
-                              "hits": stats.hits.tolist(),
-                              "totals": stats.totals.tolist()},
-        decode=lambda raw: HitStats.from_columns(
-            raw["starts"], raw["hits"], raw["totals"]),
-    )
+    store_key, encode = hit_stats_slot(
+        app, input_name, trace_len, source=source, geometry=geometry)
+    return fetch(store_key, compute, encode, decode_hit_stats)
 
 
 def shared_profile(

@@ -32,8 +32,6 @@ from .runner import RunRequest, run
 COMPARISON_POLICIES = (
     "srrip", "ship++", "mockingjay", "ghrp", "thermometer", "furbys",
 )
-#: Offline reference policies.
-OFFLINE_REFERENCES = ("foo-ohr", "belady", "flack")
 
 
 def selected_apps() -> tuple[str, ...]:
@@ -1070,6 +1068,7 @@ def run_recorded(
     if report is not None:
         summary["requests"] = report.requests
         summary["unique"] = report.unique
+        summary["simulations"] = report.simulations
         summary["executed"] = report.executed
         summary["faults"] = report.faults.to_json()
     if result is not None:

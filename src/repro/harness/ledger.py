@@ -86,7 +86,7 @@ from pathlib import Path
 from .. import faultinject
 from ..errors import ReproError
 from . import artifacts, resilience
-from .runner import RunRequest, RunResult
+from .runner import RunRequest, RunResult, stats_key
 
 __all__ = [
     "ExperimentJournal",
@@ -878,8 +878,9 @@ def resume_experiment(
         ledger.set_state(experiment_id, "INTERRUPTED")
     stored = ledger.journaled_stats(experiment_id)
     pairs = ledger.stored_requests(experiment_id)
+    requests = dict(pairs)
     for key, stats in stored.items():
-        artifacts.publish(artifacts.key("stats", key), stats)
+        artifacts.publish(stats_key(requests[key], key), stats)
     from .parallel import run_batch
 
     # Takeover/demotion notes accrued above predate run_batch's own

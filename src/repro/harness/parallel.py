@@ -5,17 +5,24 @@ experiments hand their full :class:`~repro.harness.runner.RunRequest`
 list to :func:`run_many` instead of looping over ``run()``:
 
 1. **dedup** — requests are collapsed by ``cache_key()`` (figures share
-   baselines heavily);
-2. **cache probe** — memory/disk hits are served inline in the parent;
+   baselines heavily), then by simulation: the cache key of their
+   canonical form (:meth:`~repro.harness.runner.RunRequest.canonical`).
+   Each simulation runs once, in canonical form, and its result (or
+   skip) is handed to, and journaled under, every request key it serves;
+2. **cache probe** — memory/disk hits are served inline in the parent,
+   and the cold simulations are ordered by trace (first appearance of
+   ``(app, input, trace_len)``), each trace's FURBYS/Thermometer
+   requests last, so an arm that is a profiling replay publishes its
+   hit stats before the requests that need them;
 3. **fan-out** — the parent builds (or disk-loads) each distinct cold
    ``(app, input, trace_len)`` trace once, then forks the
    :class:`~concurrent.futures.ProcessPoolExecutor`, so every worker
    inherits the registry's trace cache instead of regenerating the
-   trace; the remaining cold runs are grouped by that key so one
-   worker's chunk shares its trace and profile;
+   trace; the remaining cold runs are grouped by that key, in that
+   order, so one worker's chunk shares its trace and profile;
 4. **write-back** — results are published to the artifact store's
    memory and disk by the parent only (workers never write a result),
-   so each executed request is written once.
+   so each executed simulation is written once.
 
 Every cold request then has one path: :func:`~repro.harness.runner.execute`
 builds its pipeline and :meth:`~repro.frontend.pipeline.FrontendPipeline.run`
@@ -26,11 +33,14 @@ for ``jobs=1``, otherwise in a pool worker.
 Within each worker the shared offline-artifact store
 (:mod:`repro.harness.artifacts`) collapses the per-policy offline work
 further: FURBYS and Thermometer requests for one training trace share a
-single profiling replay, FLACK ablation variants share the trace's
-future index and interval decomposition, and profiling artifacts
-persist to the same ``.repro-cache/`` directory (atomically, so
-concurrent workers may race on a key but never corrupt it), priming
-later batches even across processes.
+single profiling replay — none at all when the ``flack``, ``belady`` or
+``foo-ohr`` arm that is that replay ran before them and published its
+hit stats (:data:`~repro.profiling.hitrate.PROFILE_ARMS`) — FLACK
+ablation variants share the trace's future index and interval
+decomposition, and profiling artifacts persist to the same
+``.repro-cache/`` directory (atomically, so concurrent workers may race
+on a key but never corrupt it), priming later batches even across
+processes.
 
 ``jobs=1`` (or ``REPRO_JOBS=1``) creates no pool: every cold request
 runs in the parent, through the same attempt/retry/skip bookkeeping a
@@ -94,7 +104,14 @@ from ..errors import ReproError
 from . import artifacts, resilience
 from .ledger import active_journal
 from .resilience import FaultReport, RetryPolicy
-from .runner import RunRequest, RunResult, execute, store_stats
+from .runner import (
+    PROFILE_POLICIES,
+    RunRequest,
+    RunResult,
+    execute,
+    simulation,
+    store_stats,
+)
 
 __all__ = [
     "BatchExecutionError",
@@ -114,7 +131,10 @@ class BatchReport:
     """Per-batch accounting: where each request was served from."""
 
     requests: int = 0
+    #: Distinct request keys, and the distinct simulations they run
+    #: (canonical requests); hits and executions count simulations.
     unique: int = 0
+    simulations: int = 0
     memory_hits: int = 0
     disk_hits: int = 0
     executed: int = 0
@@ -179,6 +199,11 @@ def _resolve_timeout(timeout_s: float | None) -> float | None:
     return timeout_s
 
 
+def _trace_of(request: RunRequest) -> tuple[str, str, int]:
+    """The ``(app, input, trace_len)`` trace a request simulates."""
+    return request.app, request.input_name, request.resolved_trace_len()
+
+
 def _chunk_cold_requests(
     requests: Sequence[RunRequest], jobs: int
 ) -> list[list[RunRequest]]:
@@ -192,8 +217,7 @@ def _chunk_cold_requests(
     """
     groups: dict[tuple[str, str, int], list[RunRequest]] = {}
     for request in requests:
-        key = (request.app, request.input_name, request.resolved_trace_len())
-        groups.setdefault(key, []).append(request)
+        groups.setdefault(_trace_of(request), []).append(request)
     chunks = list(groups.values())
     while len(chunks) < jobs:
         chunks.sort(key=len, reverse=True)
@@ -241,6 +265,31 @@ def _simulate_chunk(
     return out, resilience.counters_since(counters_before)
 
 
+def _serve(aliases, stats, results, journal) -> None:
+    """Hand one simulation's stats to every request it serves."""
+    for key, request in aliases:
+        results[key] = stats
+        if journal is not None:
+            journal.record(key, request, stats)
+
+
+def _by_trace(cold: list) -> list:
+    """Cold simulations grouped by trace, in first-appearance order,
+    with each trace's profile-guided requests last.
+
+    An arm that is a profiling replay (a ``flack``, ``belady`` or
+    ``foo-ohr`` run) then publishes its hit stats before the FURBYS or
+    Thermometer request that needs them runs, and a trace, once left,
+    is never returned to (a return would rebuild its memoized columns
+    and future index).
+    """
+    first: dict[tuple[str, str, int], int] = {}
+    for _, request, _ in cold:
+        first.setdefault(_trace_of(request), len(first))
+    return sorted(cold, key=lambda task: (
+        first[_trace_of(task[1])], task[1].policy in PROFILE_POLICIES))
+
+
 _last_report: BatchReport | None = None
 
 
@@ -251,10 +300,13 @@ def last_batch_report() -> BatchReport | None:
 
 @dataclass(slots=True)
 class _PendingTask:
-    """One cold request's execution state across attempts."""
+    """One cold simulation's execution state across attempts."""
 
-    key: str
-    request: RunRequest
+    key: str  # the simulation key
+    request: RunRequest  # canonical: what runs
+    #: ``(request key, request)`` of every request this simulation
+    #: serves, first asker first; failures name the first.
+    aliases: list[tuple[str, RunRequest]]
     index: int  # batch-wide cold-task number (fault-injection identity)
     attempts: int = 0
     error_type: str = ""
@@ -263,14 +315,14 @@ class _PendingTask:
 
 
 class _BatchExecutor:
-    """Runs a batch's cold requests: rounds of chunk submission over
+    """Runs a batch's cold simulations: rounds of chunk submission over
     (re)built process pools with per-chunk deadlines, then the
     parent-side queue.  ``jobs=1`` skips the pool and queues every
-    request in the parent."""
+    simulation in the parent."""
 
     def __init__(
         self,
-        cold: list[tuple[str, RunRequest]],
+        cold: list[tuple[str, RunRequest, list[tuple[str, RunRequest]]]],
         jobs: int,
         report: BatchReport,
         on_error: str,
@@ -280,8 +332,8 @@ class _BatchExecutor:
         journal=None,
     ):
         self.tasks = [
-            _PendingTask(key=key, request=request, index=i)
-            for i, (key, request) in enumerate(cold)
+            _PendingTask(key=key, request=request, aliases=aliases, index=i)
+            for i, (key, request, aliases) in enumerate(cold)
         ]
         self.jobs = jobs
         self.report = report
@@ -307,14 +359,15 @@ class _BatchExecutor:
         if self.on_error == "skip":
             self.report.faults.skipped += 1
             self.report.faults.failures.append({
-                "request": repr(task.request),
+                "request": repr(task.aliases[0][1]),
                 "error": task.error_type,
                 "attempts": task.attempts,
             })
-            self.results[task.key] = None
+            for key, _ in task.aliases:
+                self.results[key] = None
             return
         raise BatchExecutionError(
-            task.request, task.detail, attempts=task.attempts
+            task.aliases[0][1], task.detail, attempts=task.attempts
         )
 
     def _note_attempt_failure(
@@ -327,7 +380,7 @@ class _BatchExecutor:
         task.detail = detail
         if self.on_error == "raise":
             raise BatchExecutionError(
-                task.request, detail, attempts=task.attempts
+                task.aliases[0][1], detail, attempts=task.attempts
             )
         if not retryable or task.attempts >= self.retry_policy.max_attempts:
             self._finalize_failure(task)
@@ -347,10 +400,8 @@ class _BatchExecutor:
 
     def _record_success(self, task: _PendingTask, stats: SimulationStats) -> None:
         store_stats(task.request, stats, task.key)
-        self.results[task.key] = stats
         task.state = "done"
-        if self.journal is not None:
-            self.journal.record(task.key, task.request, stats)
+        _serve(task.aliases, stats, self.results, self.journal)
 
     # -- rounds ---------------------------------------------------------------
 
@@ -516,11 +567,7 @@ class _BatchExecutor:
         the first fork, so every worker inherits it."""
         from ..workloads.registry import get_trace
 
-        keys = {
-            (task.request.app, task.request.input_name,
-             task.request.resolved_trace_len())
-            for task in self.tasks
-        }
+        keys = {_trace_of(task.request) for task in self.tasks}
         for app, input_name, trace_len in sorted(keys):
             try:
                 get_trace(app, input_name, trace_len)
@@ -579,7 +626,8 @@ def run_batch(
     counters_before = resilience.global_counters()
     started = time.perf_counter()
 
-    # 1. dedup, preserving request order for the result list.
+    # 1. dedup by request key, preserving request order for the
+    # result list.
     order: list[str] = []
     unique: dict[str, RunRequest] = {}
     for request in requests:
@@ -595,33 +643,40 @@ def run_batch(
     if journal is not None:
         journal.register(list(unique.items()))
 
-    # 2. serve cache hits inline.
-    results: dict[str, SimulationStats | None] = {}
-    cold: list[tuple[str, RunRequest]] = []
+    # 2. dedup again by simulation: requests whose canonical forms are
+    # equal run once, and the result serves every one of them.
+    simulations: dict[str, tuple[RunRequest, list]] = {}
     for key, request in unique.items():
+        canonical, sim_key = simulation(request, key)
+        simulations.setdefault(sim_key, (canonical, []))[1].append(
+            (key, request))
+    report.simulations = len(simulations)
+
+    # 3. serve cache hits inline.
+    results: dict[str, SimulationStats | None] = {}
+    cold = []
+    for sim_key, (canonical, aliases) in simulations.items():
         stats, tier = artifacts.lookup(
-            artifacts.key("stats", key), RunResult.stats_from_json
+            artifacts.key("stats", sim_key), RunResult.stats_from_json
         )
         if stats is not None:
-            results[key] = stats
             if tier == "memory":
                 report.memory_hits += 1
             else:
                 report.disk_hits += 1
-            if journal is not None:
-                journal.record(key, request, stats)
+            _serve(aliases, stats, results, journal)
         else:
-            cold.append((key, request))
+            cold.append((sim_key, canonical, aliases))
     report.executed = len(cold)
     if journal is not None:
         journal.commit()
 
-    # 3. execute the cold remainder (in the parent, or fanned out),
-    # 4. writing every result back into both cache layers here.
+    # 4. execute the cold remainder (in the parent, or fanned out),
+    # 5. writing every result back into both cache layers here.
     if cold:
         _BatchExecutor(
-            cold, jobs, report, on_error, retry_policy, timeout_s, results,
-            journal,
+            _by_trace(cold), jobs, report, on_error, retry_policy, timeout_s,
+            results, journal,
         ).run()
     if journal is not None:
         journal.commit()

@@ -121,7 +121,8 @@ def format_batch_report(report) -> str:
         else f"serial ({report.jobs} job)" if report.jobs == 1 else f"{report.jobs} jobs"
     )
     line = (
-        f"batch: {report.requests} requests ({report.unique} unique) | "
+        f"batch: {report.requests} requests ({report.unique} unique, "
+        f"{report.simulations} simulations) | "
         f"{served} | {fan_out} | {report.elapsed_s:.1f}s"
     )
     faults = getattr(report, "faults", None)

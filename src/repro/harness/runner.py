@@ -6,6 +6,17 @@ artifact store (:mod:`repro.harness.artifacts`), in memory and on disk,
 because the figures share most of their runs — every figure needs the
 per-app LRU baseline, several share the default FURBYS deployment, and
 so on.  Set ``REPRO_CACHE=0`` to disable the disk layer.
+
+A result is stored under the cache key of the request's canonical form
+(:meth:`RunRequest.canonical`), so requests that differ only in fields
+the simulation does not read — an override equal to the preset's
+value, the order of ``perfect``, profile fields of a policy that takes
+no profile — share one entry and one run.  The request's own
+:meth:`~RunRequest.cache_key` stays its identity in the experiment
+ledger.  An arm that is also a profiling replay (:data:`~repro.
+profiling.hitrate.PROFILE_ARMS`) records its per-PW hit stats while it
+runs and publishes them as the ``hitstats`` entry that replay would
+compute.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from ..config import SimulationConfig, preset
+from ..config import PRESETS, SimulationConfig, preset
 from ..core.stats import MissBreakdown, SimulationStats
 from ..core.trace import Trace
 from ..errors import ReproError, UnknownPolicyError
@@ -27,10 +38,15 @@ from ..policies import make_policy, online_policy_names
 from ..policies.furbys import FurbysPolicy
 from ..policies.thermometer import ThermometerPolicy
 from ..profiling.hints import HintMap, merge_hints
-from ..profiling.hitrate import three_class_profile
+from ..profiling.hitrate import PROFILE_ARMS, HitStats, three_class_profile
 from ..workloads.registry import clear_trace_cache, default_trace_len, get_trace
 from . import artifacts
-from .artifacts import profiling_geometry, shared_hit_stats, shared_profile
+from .artifacts import (
+    hit_stats_slot,
+    profiling_geometry,
+    shared_hit_stats,
+    shared_profile,
+)
 
 #: Names accepted by RunRequest.policy, beyond the online registry.
 OFFLINE_POLICIES = (
@@ -38,6 +54,8 @@ OFFLINE_POLICIES = (
     "flack", "flack[foo]", "flack[A]", "flack[A+VC]", "flack[A+VC+SB]",
 )
 PROFILE_POLICIES = ("furbys", "thermometer")
+#: The profile source each arm's simulation replays (see PROFILE_ARMS).
+_ARM_SOURCES = {arm: source for source, arm in PROFILE_ARMS.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,6 +117,40 @@ class RunRequest:
             config = config.with_perfect(structure)
         return config
 
+    def canonical(self) -> "RunRequest":
+        """This request in the one form every request that runs the same
+        simulation shares.
+
+        A geometry override equal to the preset's value becomes
+        ``None``, ``perfect`` is sorted and deduplicated,
+        ``flack[A+VC+SB]`` is ``flack`` (the same flags), a policy
+        outside :data:`PROFILE_POLICIES` gets the default profile
+        fields, a profile-guided one its training inputs sorted (its
+        own input alone is the default ``()``), and the trace length and
+        warmup are resolved.  An unknown preset keeps its overrides:
+        :meth:`build_config` reports it when the request runs.
+        """
+        changes: dict[str, object] = dict(
+            trace_len=self.resolved_trace_len(),
+            warmup=self.resolved_warmup(),
+            perfect=tuple(sorted(set(self.perfect))),
+        )
+        if self.config in PRESETS:
+            uop_cache = preset(self.config).uop_cache
+            for name, value in (("cache_entries", uop_cache.entries),
+                                ("cache_ways", uop_cache.ways),
+                                ("insertion_delay", uop_cache.insertion_delay)):
+                if getattr(self, name) == value:
+                    changes[name] = None
+        if self.policy == "flack[A+VC+SB]":
+            changes["policy"] = "flack"
+        if self.policy in PROFILE_POLICIES:
+            inputs = tuple(sorted(self.profile_inputs))
+            changes["profile_inputs"] = () if inputs == (self.input_name,) else inputs
+        else:
+            changes.update(_PROFILE_DEFAULTS)
+        return dataclasses.replace(self, **changes)
+
     def cache_key(self) -> str:
         payload = dataclasses.asdict(self)
         # Resolve environment-dependent defaults so a cached result is
@@ -118,6 +170,25 @@ class RunRequest:
         for name in ("perfect", "profile_inputs"):
             data[name] = tuple(data.get(name) or ())
         return cls(**data)
+
+
+#: The defaults of the fields only the profile-guided policies read.
+_PROFILE_DEFAULTS = {
+    name: RunRequest.__dataclass_fields__[name].default
+    for name in ("profile_source", "profile_inputs", "hint_bits",
+                 "weight_scope", "furbys_bypass", "furbys_pitfall_depth")
+}
+
+
+def simulation(request: RunRequest, key: str | None = None) -> tuple[RunRequest, str]:
+    """A request's canonical form and that form's cache key: the
+    identity of the simulation the request runs.  ``key``, the
+    request's own cache key when the caller holds it, is reused when
+    the request is already canonical."""
+    canonical = request.canonical()
+    if key is None or canonical != request:
+        key = canonical.cache_key()
+    return canonical, key
 
 
 @dataclass(slots=True)
@@ -167,6 +238,9 @@ def _canonical_profile_inputs(request: RunRequest) -> tuple[str, ...]:
 
 
 def _request_geometry(request: RunRequest) -> list:
+    """The profiling geometry of a request, taken from its canonical
+    form so an arm and the replay it stands in for agree on it."""
+    request = request.canonical()
     return profiling_geometry(
         request.config,
         cache_entries=request.cache_entries,
@@ -252,20 +326,18 @@ def _build_policy_and_hints(
 
 # --- the runner -----------------------------------------------------------------
 
-def _stats_key(request: RunRequest, key: str | None) -> str:
-    """The store key of a request's result (``key`` is its cache key)."""
-    return artifacts.key("stats", key or request.cache_key())
+def stats_key(request: RunRequest, key: str | None = None) -> str:
+    """The store key of a request's result: its simulation's key
+    (``key`` is the request's cache key, when the caller holds it)."""
+    return artifacts.key("stats", simulation(request, key)[1])
 
 
 def _encode_stats(request: RunRequest):
     def encode(stats: SimulationStats) -> dict:
-        # The entry embeds the request with its trace geometry resolved,
-        # so it hashes back to its key in any environment (the store's
-        # stale census relies on this).
-        resolved = dataclasses.replace(
-            request, trace_len=request.resolved_trace_len(),
-            warmup=request.resolved_warmup())
-        return RunResult(resolved, stats).to_json()
+        # The entry embeds the canonical request, whose trace geometry
+        # is resolved, so it hashes back to its key in any environment
+        # (the store's stale census relies on this).
+        return RunResult(request.canonical(), stats).to_json()
     return encode
 
 
@@ -276,7 +348,7 @@ def cached_stats(request: RunRequest, key: str | None = None) -> SimulationStats
     and is a miss, so the run is recomputed.
     """
     return artifacts.lookup(
-        _stats_key(request, key), RunResult.stats_from_json
+        stats_key(request, key), RunResult.stats_from_json
     )[0]
 
 
@@ -284,27 +356,58 @@ def store_stats(
     request: RunRequest, stats: SimulationStats, key: str | None = None
 ) -> None:
     """Publish a result to the store's memory and disk (atomic write)."""
-    artifacts.publish(_stats_key(request, key), stats, _encode_stats(request))
+    artifacts.publish(stats_key(request, key), stats, _encode_stats(request))
+
+
+def _unrecorded_replay(request: RunRequest):
+    """When ``request`` runs a profiling replay's simulation and the
+    store does not hold that replay's hit stats yet, their ``hitstats``
+    slot (:func:`~repro.harness.artifacts.hit_stats_slot`); else
+    ``None``.
+
+    The replay and its arm are one simulation: warmup resets the
+    counters but not the per-PW hit stats, so the arm's recording over
+    the whole trace is the replay's.
+    """
+    canonical = request.canonical()
+    source = _ARM_SOURCES.get(canonical.policy)
+    if source is None:
+        return None
+    slot = hit_stats_slot(
+        canonical.app, canonical.input_name, canonical.trace_len,
+        source=source, geometry=_request_geometry(canonical),
+    )
+    if artifacts.lookup(slot[0], artifacts.decode_hit_stats)[0] is not None:
+        return None
+    return slot
 
 
 def execute(request: RunRequest) -> SimulationStats:
     """Compute one simulation, bypassing the ``stats`` store.
 
     Traces and profiling artifacts still come from the store, which is
-    what makes grouping same-app requests onto one worker cheap.
+    what makes grouping same-app requests onto one worker cheap.  An
+    arm that is a profiling replay publishes its hit stats there too.
     """
     config = request.build_config()
     trace = get_trace(request.app, request.input_name, request.resolved_trace_len())
     policy, hints = _build_policy_and_hints(request, config, trace)
+    replay = _unrecorded_replay(request)
     pipeline = FrontendPipeline(
-        config, policy, hints=hints, classify_misses=request.classify_misses
+        config, policy, hints=hints, classify_misses=request.classify_misses,
+        record_hit_rates=replay is not None,
     )
-    return pipeline.run(trace, warmup=request.resolved_warmup())
+    stats = pipeline.run(trace, warmup=request.resolved_warmup())
+    if replay is not None:
+        store_key, encode = replay
+        artifacts.publish(
+            store_key, HitStats.from_counts(pipeline.pw_hit_stats), encode)
+    return stats
 
 
 def run(request: RunRequest) -> SimulationStats:
     """Execute (or recall) one simulation."""
     return artifacts.fetch(
-        _stats_key(request, None), lambda: execute(request),
+        stats_key(request), lambda: execute(request),
         _encode_stats(request), RunResult.stats_from_json,
     )

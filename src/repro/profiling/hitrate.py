@@ -74,6 +74,11 @@ class HitStats(NamedTuple):
                          where=self.totals != 0)
 
 
+#: The arm each profile source's replay is: the same simulation as that
+#: ``RunRequest.policy`` at the same geometry, apart from the recording.
+PROFILE_ARMS = {"flack": "flack", "belady": "belady", "foo": "foo-ohr"}
+
+
 def make_profile_policy(
     source: str, trace: Trace, config: SimulationConfig
 ) -> ReplacementPolicy:
