@@ -4,19 +4,21 @@ A FLACK profiling replay feeds the FURBYS hint widths and weight
 scopes, Thermometer and the cross-input merges, and most figures share
 their baseline runs, so the harness caches four kinds of artifact,
 named by :data:`KINDS` (the same names as
-:data:`repro.faultinject.ARTIFACT_KINDS`):
+:data:`repro.faultinject.ARTIFACT_KINDS`).  This module is storage
+only: keys, the probe and publish paths, the census and gc, and trace
+I/O; the runner builds the payloads and values it stores.
 
 * ``stats`` — one simulation's result; the payload is the
   :meth:`~repro.harness.runner.RunRequest.cache_key` of the request's
   canonical form (:meth:`~repro.harness.runner.RunRequest.canonical`);
-* ``hitstats`` — the per-PW hit stats of one profiling replay
-  (:func:`repro.profiling.hitrate.collect_hit_stats`, or the arm that is
-  the same simulation, :data:`repro.profiling.hitrate.PROFILE_ARMS`),
-  keyed by :func:`hit_stats_slot`, as the
+* ``hitstats`` — the per-PW hit stats of one profiling replay, keyed
+  by the replay request's cache key and :data:`LAYOUTS` (the runner
+  knows what a replay is, see :mod:`repro.harness.runner`), as the
   ascending-start columns ``starts`` (uint64)/``hits``/``totals`` of a
   :class:`~repro.profiling.hitrate.HitStats`;
-* ``profile`` — one training input's FURBYS hint map, as the columns
-  ``starts`` (uint64)/``groups`` of a
+* ``profile`` — one training input's FURBYS hint map, keyed by its
+  replay's cache key, the hint width and weight scope and
+  :data:`LAYOUTS`, as the columns ``starts`` (uint64)/``groups`` of a
   :class:`~repro.profiling.hints.HintColumns`;
 * ``trace`` — a generated workload trace in the v2 binary format.
 
@@ -60,12 +62,8 @@ from pathlib import Path
 from typing import Callable
 
 from .. import faultinject
-from ..config import SimulationConfig
 from ..errors import ArtifactError
-from ..profiling.hints import HintColumns, HintMap
-from ..profiling.hitrate import HitStats
-from ..profiling.pipeline import profile_application
-from ..workloads.registry import get_trace, trace_cache_stats
+from ..workloads.registry import trace_cache_stats
 from . import resilience
 
 #: Bump by hand whenever a change alters what a simulation or a
@@ -78,9 +76,11 @@ MODEL_VERSION = "1"
 
 KINDS = ("stats", "hitstats", "profile", "trace")
 
-#: The column layout tag each reshaped kind appends to its key payload,
-#: so an entry of another layout is never probed (and is stale).
-LAYOUTS = {"hitstats": "starts/hits/totals", "profile": "starts/groups"}
+#: The identity and column layout tag each reshaped kind appends to its
+#: key payload, so an entry of another identity or layout is never probed
+#: (and is stale).  Both kinds are keyed by their replay's cache key.
+LAYOUTS = {"hitstats": "replay:starts/hits/totals",
+           "profile": "replay:starts/groups"}
 
 #: store key -> value, for every JSON kind.
 _memory: dict[str, object] = {}
@@ -485,109 +485,3 @@ def store_cached_trace(
     except OSError:
         resilience.note_fallback("disk_write")
         tmp.unlink(missing_ok=True)
-
-
-def profiling_geometry(
-    config_name: str,
-    *,
-    cache_entries: int | None,
-    cache_ways: int | None,
-    insertion_delay: int | None,
-    inclusive: bool,
-    keep_larger: bool,
-    perfect: tuple[str, ...],
-) -> list:
-    """The geometry part of a profiling key: every knob that can change
-    what the offline profiling replay observes."""
-    return [
-        config_name, cache_entries, cache_ways, insertion_delay,
-        inclusive, keep_larger, sorted(perfect),
-    ]
-
-
-def hit_stats_slot(
-    app: str, input_name: str, trace_len: int, *, source: str, geometry: list,
-) -> tuple[str, Callable[[HitStats], dict]]:
-    """The store key and encoder of one profiling replay's hit stats:
-    the one place a ``hitstats`` identity is built."""
-    identity = [app, input_name, trace_len, source, geometry,
-                LAYOUTS["hitstats"]]
-
-    def encode(stats: HitStats) -> dict:
-        return {"identity": identity, "starts": stats.starts.tolist(),
-                "hits": stats.hits.tolist(), "totals": stats.totals.tolist()}
-
-    return key("hitstats", identity), encode
-
-
-def decode_hit_stats(raw: dict) -> HitStats:
-    """The columns of a stored ``hitstats`` entry."""
-    return HitStats.from_columns(raw["starts"], raw["hits"], raw["totals"])
-
-
-def shared_hit_stats(
-    app: str,
-    input_name: str,
-    trace_len: int,
-    config: SimulationConfig,
-    *,
-    source: str,
-    geometry: list,
-) -> HitStats:
-    """Per-PW hit stats for one training trace, computed at most once.
-
-    The store keeps the three read-only columns as they are.  The
-    profiling replay runs here only when no arm of the same simulation
-    published them first (see :func:`repro.harness.runner.execute`).
-    """
-    def compute() -> HitStats:
-        from ..profiling.hitrate import collect_hit_stats
-
-        trace = get_trace(app, input_name, trace_len)
-        return collect_hit_stats(trace, config, source=source)
-
-    store_key, encode = hit_stats_slot(
-        app, input_name, trace_len, source=source, geometry=geometry)
-    return fetch(store_key, compute, encode, decode_hit_stats)
-
-
-def shared_profile(
-    app: str,
-    input_name: str,
-    trace_len: int,
-    config: SimulationConfig,
-    *,
-    source: str,
-    n_bits: int,
-    scope: str,
-    geometry: list,
-) -> HintMap:
-    """A single-input FURBYS hint map, sharing the profiling replay.
-
-    The hit-stats artifact is shared across hint widths, weight scopes
-    and with Thermometer; only the clustering step is parameterized.
-    The store keeps the map as ``starts``/``groups`` columns and each
-    call returns a fresh dict of them.  Multi-input merges are not
-    stored (see the runner's ``_profile_for``): they are cheap merges
-    of these maps.
-    """
-    def compute() -> HintColumns:
-        stats = shared_hit_stats(
-            app, input_name, trace_len, config, source=source, geometry=geometry
-        )
-        profile = profile_application(
-            get_trace(app, input_name, trace_len), config, source=source,
-            n_bits=n_bits, scope=scope, hit_stats=stats,
-        )
-        return HintColumns.from_map(profile.hints)
-
-    identity = [app, input_name, trace_len, source, n_bits, scope, geometry,
-                LAYOUTS["profile"]]
-    columns = fetch(
-        key("profile", identity), compute,
-        encode=lambda hints: {"identity": identity,
-                              "starts": hints.starts.tolist(),
-                              "groups": hints.groups.tolist()},
-        decode=lambda raw: HintColumns.from_columns(raw["starts"], raw["groups"]),
-    )
-    return columns.to_map()

@@ -20,13 +20,12 @@ from ..config import preset
 from ..core.stats import SimulationStats
 from ..power.mcpat import CorePowerModel
 from ..power.ppw import ppw_gain
-from ..profiling import profile_application
 from ..timing.model import TimingModel
 from ..workloads.apps import app_names
 from ..workloads.registry import env_trace_len, get_trace
 from .parallel import run_many
 from .reporting import mean, percent
-from .runner import RunRequest, run
+from .runner import RunRequest, shared_hit_stats, shared_profile
 
 #: Policies of the Figure 5/8/11 comparisons, display order.
 COMPARISON_POLICIES = (
@@ -45,10 +44,6 @@ def selected_apps() -> tuple[str, ...]:
 
 def _baseline_request(app: str, **kwargs) -> RunRequest:
     return RunRequest(app=app, policy="lru", **kwargs)
-
-
-def _baseline(app: str, **kwargs) -> SimulationStats:
-    return run(_baseline_request(app, **kwargs))
 
 
 def _run_map(
@@ -697,7 +692,6 @@ def sec6c_coverage() -> dict:
 def fig22_hotness(app: str = "kafka") -> dict:
     """Per-policy hit rate over PW hotness deciles on one app (Figure 22)."""
     from ..frontend.pipeline import FrontendPipeline
-    from ..offline.flack import FLACKPolicy
     from ..policies import make_policy
     from ..policies.furbys import FurbysPolicy
 
@@ -712,12 +706,16 @@ def fig22_hotness(app: str = "kafka") -> dict:
         assert pipeline.pw_hit_stats is not None
         return pipeline.pw_hit_stats
 
-    profile = profile_application(trace, config)
+    # The flack column is FURBYS's profiling replay, from the store.
+    furbys = RunRequest(app=app, policy="furbys")
+    flack = shared_hit_stats(furbys, "default")
     runs = {
         "lru": hit_stats_for(make_policy("lru")),
         "srrip": hit_stats_for(make_policy("srrip")),
-        "furbys": hit_stats_for(FurbysPolicy(), hints=profile.hints),
-        "flack": hit_stats_for(FLACKPolicy(trace, config.uop_cache)),
+        "furbys": hit_stats_for(FurbysPolicy(),
+                                hints=shared_profile(furbys, "default")),
+        "flack": dict(zip(flack.starts.tolist(),
+                          zip(flack.hits.tolist(), flack.totals.tolist()))),
     }
     # Sort PWs by total access volume (hot -> cold), split into deciles.
     reference = runs["lru"]
@@ -801,12 +799,15 @@ def abl_jenks_vs_uniform() -> dict:
         trace = get_trace(app)
         warmup = len(trace) // 3
         base = stats_by[(app, "lru")]
-        profile = profile_application(trace, config)
+        furbys = RunRequest(app=app, policy="furbys")
+        hit_stats = shared_hit_stats(furbys, "default")
+        jenks_hints = shared_profile(furbys, "default")
         # Equal-width binning of the same hit rates.
         uniform_hints = {
             start: min(7, int(rate * 8))
-            for start, rate in profile.hit_rates.items()
-            if start in profile.hints
+            for start, rate in zip(hit_stats.starts.tolist(),
+                                   hit_stats.rates().tolist())
+            if start in jenks_hints
         }
         def evaluate(hints):
             pipeline = FrontendPipeline(config, FurbysPolicy(), hints=hints)

@@ -19,7 +19,9 @@ list to :func:`run_many` instead of looping over ``run()``:
    :class:`~concurrent.futures.ProcessPoolExecutor`, so every worker
    inherits the registry's trace cache instead of regenerating the
    trace; the remaining cold runs are grouped by that key, in that
-   order, so one worker's chunk shares its trace and profile;
+   order, so one worker's chunk shares its trace and profile, and a
+   group split across workers keeps its profile-source arms in the
+   chunk of its FURBYS/Thermometer requests;
 4. **write-back** — results are published to the artifact store's
    memory and disk by the parent only (workers never write a result),
    so each executed simulation is written once.
@@ -30,12 +32,13 @@ simulates it — through :func:`repro.frontend.simd.run_kernel`, or the
 reference loop for the shapes no kernel serves — serially in the parent
 for ``jobs=1``, otherwise in a pool worker.
 
-Within each worker the shared offline-artifact store
-(:mod:`repro.harness.artifacts`) collapses the per-policy offline work
-further: FURBYS and Thermometer requests for one training trace share a
-single profiling replay — none at all when the ``flack``, ``belady`` or
-``foo-ohr`` arm that is that replay ran before them and published its
-hit stats (:data:`~repro.profiling.hitrate.PROFILE_ARMS`) — FLACK
+Within each worker the artifact store (:mod:`repro.harness.artifacts`)
+collapses the per-policy offline work further: FURBYS and Thermometer
+requests for one training trace share a single profiling replay, an
+ordinary request the runner executes — none at all when the ``flack``,
+``belady`` or ``foo-ohr`` arm that is that replay ran before them and
+published its hit stats (:data:`~repro.profiling.hitrate.PROFILE_ARMS`,
+:mod:`repro.harness.runner`) — FLACK
 ablation variants share the trace's future index and interval
 decomposition, and profiling artifacts persist to the same
 ``.repro-cache/`` directory (atomically, so concurrent workers may race
@@ -101,6 +104,7 @@ from .. import faultinject
 from ..config import env_number
 from ..core.stats import SimulationStats
 from ..errors import ReproError
+from ..profiling.hitrate import PROFILE_ARMS
 from . import artifacts, resilience
 from .ledger import active_journal
 from .resilience import FaultReport, RetryPolicy
@@ -214,20 +218,42 @@ def _chunk_cold_requests(
     so they are kept on one worker.  Groups larger than the batch can
     keep ``jobs`` workers busy are split in half until there are enough
     chunks, largest-first so the pool schedules long chunks earliest.
+    A split never parts a trace's profile-guided requests from its
+    profile-source arms (:data:`~repro.profiling.hitrate.PROFILE_ARMS`):
+    they share one chunk, arms first, so the arm's published hit stats
+    spare the FURBYS/Thermometer requests their profiling replay.
     """
     groups: dict[tuple[str, str, int], list[RunRequest]] = {}
     for request in requests:
         groups.setdefault(_trace_of(request), []).append(request)
-    chunks = list(groups.values())
+    # Each chunk is a list of units a split keeps whole.
+    chunks = [_split_units(group) for group in groups.values()]
+
+    def size(chunk: list[list[RunRequest]]) -> int:
+        return sum(map(len, chunk))
+
     while len(chunks) < jobs:
-        chunks.sort(key=len, reverse=True)
-        largest = chunks[0]
-        if len(largest) < 2:
+        chunks.sort(key=size, reverse=True)
+        at = next((i for i, chunk in enumerate(chunks) if len(chunk) > 1), None)
+        if at is None:
             break
-        mid = len(largest) // 2
-        chunks[0:1] = [largest[:mid], largest[mid:]]
-    chunks.sort(key=len, reverse=True)
-    return chunks
+        mid = len(chunks[at]) // 2
+        chunks[at:at + 1] = [chunks[at][:mid], chunks[at][mid:]]
+    chunks.sort(key=size, reverse=True)
+    return [[request for unit in chunk for request in unit] for chunk in chunks]
+
+
+def _split_units(group: list[RunRequest]) -> list[list[RunRequest]]:
+    """One trace's requests as units no split parts: each request alone,
+    except that the profile-source arms and the profile-guided requests
+    form one last unit, arms first, when there are profile-guided
+    requests."""
+    guided = [r for r in group if r.policy in PROFILE_POLICIES]
+    if not guided:
+        return [[request] for request in group]
+    arms = [r for r in group if r.policy in PROFILE_ARMS.values()]
+    return [[r] for r in group if r not in arms and r not in guided] + [
+        arms + guided]
 
 
 def _simulate_chunk(

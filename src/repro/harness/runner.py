@@ -13,10 +13,14 @@ the simulation does not read — an override equal to the preset's
 value, the order of ``perfect``, profile fields of a policy that takes
 no profile — share one entry and one run.  The request's own
 :meth:`~RunRequest.cache_key` stays its identity in the experiment
-ledger.  An arm that is also a profiling replay (:data:`~repro.
-profiling.hitrate.PROFILE_ARMS`) records its per-PW hit stats while it
-runs and publishes them as the ``hitstats`` entry that replay would
-compute.
+ledger.
+
+A FURBYS/Thermometer profiling replay is an ordinary canonical request:
+the :data:`~repro.profiling.hitrate.PROFILE_ARMS` arm of the profile
+source on the training input, at the request's config and geometry.  Its
+cache key keys the ``hitstats`` and ``profile`` entries built from it,
+and :func:`execute` runs it: an arm publishes its hit stats as it runs,
+and :func:`shared_hit_stats` executes the replay only when none did.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from .. import stagetimer
 from ..config import PRESETS, SimulationConfig, preset
 from ..core.stats import MissBreakdown, SimulationStats
 from ..core.trace import Trace
-from ..errors import ReproError, UnknownPolicyError
+from ..errors import ProfilingError, ReproError, UnknownPolicyError
 from ..frontend.pipeline import FrontendPipeline
 from ..offline.belady import BeladyPolicy
 from ..offline.flack import FLACKPolicy
@@ -37,16 +42,16 @@ from ..offline.foo import FOOPolicy
 from ..policies import make_policy, online_policy_names
 from ..policies.furbys import FurbysPolicy
 from ..policies.thermometer import ThermometerPolicy
-from ..profiling.hints import HintMap, merge_hints
-from ..profiling.hitrate import PROFILE_ARMS, HitStats, three_class_profile
+from ..profiling.hints import HintColumns, HintMap, merge_hints
+from ..profiling.hitrate import (
+    PROFILE_ARMS,
+    PROFILE_SOURCES,
+    HitStats,
+    three_class_profile,
+)
+from ..profiling.pipeline import profile_application
 from ..workloads.registry import clear_trace_cache, default_trace_len, get_trace
 from . import artifacts
-from .artifacts import (
-    hit_stats_slot,
-    profiling_geometry,
-    shared_hit_stats,
-    shared_profile,
-)
 
 #: Names accepted by RunRequest.policy, beyond the online registry.
 OFFLINE_POLICIES = (
@@ -54,8 +59,6 @@ OFFLINE_POLICIES = (
     "flack", "flack[foo]", "flack[A]", "flack[A+VC]", "flack[A+VC+SB]",
 )
 PROFILE_POLICIES = ("furbys", "thermometer")
-#: The profile source each arm's simulation replays (see PROFILE_ARMS).
-_ARM_SOURCES = {arm: source for source, arm in PROFILE_ARMS.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,6 +231,105 @@ def clear_memory_cache() -> None:
     drop_memos()
 
 
+# --- profiling replays ----------------------------------------------------------
+
+def _replay(request: RunRequest, arm: str, input_name: str) -> RunRequest:
+    """The profiling replay that ``arm`` runs on ``input_name`` at
+    ``request``'s config and geometry, in canonical form.
+
+    It runs at the default warmup and classifies no misses.  Neither
+    changes the per-PW hit stats (warmup resets the counters, not the
+    recording), so an arm at another warmup, or one that classifies its
+    misses, records the same stats under the replay's identity.
+    """
+    return dataclasses.replace(
+        request, policy=arm, input_name=input_name, warmup=None,
+        classify_misses=False,
+    ).canonical()
+
+
+def _training_replay(request: RunRequest, input_name: str) -> RunRequest:
+    """The replay a FURBYS/Thermometer request profiles one training
+    input with: the arm of its profile source
+    (:data:`~repro.profiling.hitrate.PROFILE_ARMS`)."""
+    arm = PROFILE_ARMS.get(request.profile_source)
+    if arm is None:
+        raise ProfilingError(
+            f"unknown profile source {request.profile_source!r}; "
+            f"expected one of {PROFILE_SOURCES}"
+        )
+    return _replay(request, arm, input_name)
+
+
+def _hit_stats_key(replay: RunRequest) -> tuple[str, list]:
+    """The ``hitstats`` store key of a replay and the identity its entry
+    embeds: the replay's cache key and the column layout."""
+    identity = [replay.cache_key(), artifacts.LAYOUTS["hitstats"]]
+    return artifacts.key("hitstats", identity), identity
+
+
+def _stored_hit_stats(replay: RunRequest) -> HitStats | None:
+    return artifacts.lookup(
+        _hit_stats_key(replay)[0],
+        lambda raw: HitStats.from_columns(raw["starts"], raw["hits"], raw["totals"]),
+    )[0]
+
+
+def _run_replay(replay: RunRequest) -> None:
+    """Run one profiling replay; :func:`execute` publishes its hit stats."""
+    with stagetimer.timed("profile_sim"):
+        execute(replay)
+
+
+def shared_hit_stats(request: RunRequest, input_name: str) -> HitStats:
+    """The per-PW hit stats of ``request``'s profiling replay on one
+    training input, computed at most once.
+
+    The replay runs here only when no arm of the same simulation
+    published its stats first; the store keeps the three read-only
+    columns as they are.
+    """
+    replay = _training_replay(request, input_name)
+    stats = _stored_hit_stats(replay)
+    if stats is None:
+        _run_replay(replay)
+        stats = _stored_hit_stats(replay)
+    return stats
+
+
+def shared_profile(request: RunRequest, input_name: str) -> HintMap:
+    """``request``'s FURBYS hint map for one training input, sharing the
+    profiling replay.
+
+    The hit stats are shared across hint widths, weight scopes and with
+    Thermometer; only the clustering step is parameterized.  The store
+    keeps the map as ``starts``/``groups`` columns and each call returns
+    a fresh dict of them.  Multi-input merges are not stored (see
+    :func:`_profile_for`): they are cheap merges of these maps.
+    """
+    replay = _training_replay(request, input_name)
+    identity = [replay.cache_key(), request.hint_bits, request.weight_scope,
+                artifacts.LAYOUTS["profile"]]
+
+    def compute() -> HintColumns:
+        profile = profile_application(
+            get_trace(replay.app, input_name, replay.trace_len),
+            replay.build_config(), source=request.profile_source,
+            n_bits=request.hint_bits, scope=request.weight_scope,
+            hit_stats=shared_hit_stats(request, input_name),
+        )
+        return HintColumns.from_map(profile.hints)
+
+    columns = artifacts.fetch(
+        artifacts.key("profile", identity), compute,
+        encode=lambda hints: {"identity": identity,
+                              "starts": hints.starts.tolist(),
+                              "groups": hints.groups.tolist()},
+        decode=lambda raw: HintColumns.from_columns(raw["starts"], raw["groups"]),
+    )
+    return columns.to_map()
+
+
 # --- policy construction -----------------------------------------------------
 
 def _canonical_profile_inputs(request: RunRequest) -> tuple[str, ...]:
@@ -237,36 +339,13 @@ def _canonical_profile_inputs(request: RunRequest) -> tuple[str, ...]:
     return tuple(sorted(inputs))
 
 
-def _request_geometry(request: RunRequest) -> list:
-    """The profiling geometry of a request, taken from its canonical
-    form so an arm and the replay it stands in for agree on it."""
-    request = request.canonical()
-    return profiling_geometry(
-        request.config,
-        cache_entries=request.cache_entries,
-        cache_ways=request.cache_ways,
-        insertion_delay=request.insertion_delay,
-        inclusive=request.inclusive,
-        keep_larger=request.keep_larger,
-        perfect=request.perfect,
-    )
-
-
-def _profile_for(request: RunRequest, config: SimulationConfig) -> HintMap:
+def _profile_for(request: RunRequest) -> HintMap:
     """The request's FURBYS hint map: one stored map per training input
     (one profiling replay each, shared with Thermometer and across hint
     parameters), merged in canonical order as
     :meth:`~repro.profiling.FurbysProfile.merged_with` merges hints."""
-    hint_maps = [
-        shared_profile(
-            request.app, name, request.resolved_trace_len(), config,
-            source=request.profile_source,
-            n_bits=request.hint_bits,
-            scope=request.weight_scope,
-            geometry=_request_geometry(request),
-        )
-        for name in _canonical_profile_inputs(request)
-    ]
+    hint_maps = [shared_profile(request, name)
+                 for name in _canonical_profile_inputs(request)]
     return merge_hints(hint_maps) if hint_maps[1:] else hint_maps[0]
 
 
@@ -299,7 +378,7 @@ def _build_policy_and_hints(
             bypass_enabled=request.furbys_bypass,
             pitfall_depth=request.furbys_pitfall_depth,
         )
-        return policy, _profile_for(request, config)
+        return policy, _profile_for(request)
     if name == "thermometer":
         inputs = _canonical_profile_inputs(request)
         if len(inputs) > 1:
@@ -309,10 +388,7 @@ def _build_policy_and_hints(
             )
         # Reuse FURBYS's profiling replay: same trace, source and
         # geometry -> same hit stats, different clustering.
-        stats = shared_hit_stats(
-            request.app, inputs[0], request.resolved_trace_len(), config,
-            source=request.profile_source, geometry=_request_geometry(request),
-        )
+        stats = shared_hit_stats(request, inputs[0])
         classes = three_class_profile(
             get_trace(request.app, inputs[0], request.resolved_trace_len()),
             config, source=request.profile_source, hit_stats=stats,
@@ -359,27 +435,15 @@ def store_stats(
     artifacts.publish(stats_key(request, key), stats, _encode_stats(request))
 
 
-def _unrecorded_replay(request: RunRequest):
-    """When ``request`` runs a profiling replay's simulation and the
-    store does not hold that replay's hit stats yet, their ``hitstats``
-    slot (:func:`~repro.harness.artifacts.hit_stats_slot`); else
-    ``None``.
-
-    The replay and its arm are one simulation: warmup resets the
-    counters but not the per-PW hit stats, so the arm's recording over
-    the whole trace is the replay's.
-    """
+def _unrecorded_replay(request: RunRequest) -> RunRequest | None:
+    """The profiling replay ``request`` is, when it is a profile-source
+    arm (:data:`~repro.profiling.hitrate.PROFILE_ARMS`) whose replay's
+    hit stats the store does not hold yet; else ``None``."""
     canonical = request.canonical()
-    source = _ARM_SOURCES.get(canonical.policy)
-    if source is None:
+    if canonical.policy not in PROFILE_ARMS.values():
         return None
-    slot = hit_stats_slot(
-        canonical.app, canonical.input_name, canonical.trace_len,
-        source=source, geometry=_request_geometry(canonical),
-    )
-    if artifacts.lookup(slot[0], artifacts.decode_hit_stats)[0] is not None:
-        return None
-    return slot
+    replay = _replay(canonical, canonical.policy, canonical.input_name)
+    return None if _stored_hit_stats(replay) is not None else replay
 
 
 def execute(request: RunRequest) -> SimulationStats:
@@ -387,7 +451,8 @@ def execute(request: RunRequest) -> SimulationStats:
 
     Traces and profiling artifacts still come from the store, which is
     what makes grouping same-app requests onto one worker cheap.  An
-    arm that is a profiling replay publishes its hit stats there too.
+    arm that is a profiling replay records its per-PW hit stats and
+    publishes them there: this is the one place a replay runs.
     """
     config = request.build_config()
     trace = get_trace(request.app, request.input_name, request.resolved_trace_len())
@@ -399,9 +464,14 @@ def execute(request: RunRequest) -> SimulationStats:
     )
     stats = pipeline.run(trace, warmup=request.resolved_warmup())
     if replay is not None:
-        store_key, encode = replay
+        store_key, identity = _hit_stats_key(replay)
         artifacts.publish(
-            store_key, HitStats.from_counts(pipeline.pw_hit_stats), encode)
+            store_key, HitStats.from_counts(pipeline.pw_hit_stats),
+            lambda hit_stats: {"identity": identity,
+                               "starts": hit_stats.starts.tolist(),
+                               "hits": hit_stats.hits.tolist(),
+                               "totals": hit_stats.totals.tolist()},
+        )
     return stats
 
 

@@ -104,11 +104,12 @@ def collect_hit_stats(
     """Raw per-PW ``(uops hit, uops requested)`` counts from one replay.
 
     This is the expensive profiling artifact — a full simulation under
-    an offline policy — and the form the shared artifact store
-    (:mod:`repro.harness.artifacts`) caches: the counts carry the
-    sample weights that hit *rates* discard.  ``policy`` overrides
-    ``source`` when provided (tests use this to profile under
-    arbitrary policies).
+    an offline policy — and the form the artifact store caches: the
+    counts carry the sample weights that hit *rates* discard.  The
+    harness runs the same simulation as a :data:`PROFILE_ARMS` request
+    (:mod:`repro.harness.runner`); the tests compare it with this one.
+    ``policy`` overrides ``source`` when provided (tests use this to
+    profile under arbitrary policies).
     """
     if policy is None:
         policy = make_profile_policy(source, trace, config)

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.harness import artifacts, parallel, resilience
+from repro.harness import artifacts, parallel, resilience, runner
 from repro.harness import ledger as ledger_module
 from repro.harness.experiments import abl_offline_scale, fig15_profile_sources
 from repro.harness.ledger import ExperimentRun, Ledger
@@ -21,7 +21,6 @@ from repro.harness.parallel import run_batch
 from repro.harness.runner import (
     RunRequest,
     RunResult,
-    _request_geometry,
     clear_memory_cache,
     execute,
     run,
@@ -107,12 +106,15 @@ class TestArmPublishesTheReplay:
         fallbacks = [name for name in resilience.counters_since(before)
                      if name.startswith("sim_fallback:")]
         assert bool(fallbacks) == classify  # the reference loop ran
-        store_key, _ = artifacts.hit_stats_slot(
-            "kafka", "default", N, source=source,
-            geometry=_request_geometry(request))
-        published, tier = artifacts.lookup(store_key,
-                                           artifacts.decode_hit_stats)
-        assert tier == "memory"
+        # The arm published under the key a FURBYS request of this
+        # source looks its replay up by: the arm's canonical request.
+        furbys = dataclasses.replace(request, policy="furbys",
+                                     profile_source=source)
+        replay = runner._training_replay(furbys, "default")
+        assert replay == RunRequest(app="kafka", policy=PROFILE_ARMS[source],
+                                    trace_len=N).canonical()
+        store_key, _ = runner._hit_stats_key(replay)
+        published = artifacts._memory[store_key]
         config = request.build_config()
         replay = collect_hit_stats(get_trace("kafka", "default", N), config,
                                    source=source)
@@ -151,21 +153,28 @@ def _alias_batch() -> list[RunRequest]:
     ]
 
 
+def _log_calls(monkeypatch, module, name: str, log) -> None:
+    """Append each call's request key to ``log``: pool workers are
+    forked processes, so a file is what the parent can read back."""
+    original = getattr(module, name)
+
+    def logging(request):
+        with open(log, "a") as handle:
+            handle.write(request.cache_key() + "\n")
+        return original(request)
+
+    monkeypatch.setattr(module, name, logging)
+
+
 class TestSimulationDedupe:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_simulation_runs_once_and_serves_every_alias(
         self, jobs, tmp_path, monkeypatch
     ):
         requests = _alias_batch()
-        log = tmp_path / "executed.log"
-        original = parallel.execute
-
-        def logging_execute(request):
-            with open(log, "a") as handle:  # workers are forked processes
-                handle.write(request.cache_key() + "\n")
-            return original(request)
-
-        monkeypatch.setattr(parallel, "execute", logging_execute)
+        log, replays = tmp_path / "executed.log", tmp_path / "replays.log"
+        _log_calls(monkeypatch, parallel, "execute", log)
+        _log_calls(monkeypatch, runner, "_run_replay", replays)
         db = tmp_path / "ledger.sqlite"
         with ExperimentRun("aliases", path=db) as record:
             results, report = run_batch(requests, jobs=jobs)
@@ -173,6 +182,9 @@ class TestSimulationDedupe:
         assert report.simulations == report.executed == 4
         executed = log.read_text().split()
         assert len(executed) == len(set(executed)) == 4
+        # The flack arm ran in the FURBYS request's chunk and published
+        # the hit stats that request profiles with.
+        assert not replays.exists()
 
         ledger = Ledger.open(db)
         rows = {row["cache_key"]: row
@@ -207,13 +219,14 @@ class TestReplaysAndStore:
         monkeypatch.setenv("REPRO_TRACE_LEN", "2000")
         monkeypatch.setenv("REPRO_JOBS", "1")
         sources = []
-        original = hitrate.collect_hit_stats
+        original = runner._run_replay
+        source_of = {arm: source for source, arm in PROFILE_ARMS.items()}
 
-        def counting(*args, **kwargs):
-            sources.append(kwargs.get("source"))
-            return original(*args, **kwargs)
+        def counting(replay):
+            sources.append(source_of[replay.policy])
+            return original(replay)
 
-        monkeypatch.setattr(hitrate, "collect_hit_stats", counting)
+        monkeypatch.setattr(runner, "_run_replay", counting)
         abl_offline_scale()
         fig15_profile_sources()
         assert sources == ["foo", "foo"]

@@ -121,17 +121,17 @@ class TestSharedArtifacts:
     """The profiling artifact store behind FURBYS/Thermometer requests."""
 
     def test_furbys_and_thermometer_share_one_profiling_replay(self, monkeypatch):
-        from repro.profiling import hitrate
+        from repro.harness import runner
 
         clear_memory_cache()
         replays = []
-        original = hitrate.collect_hit_stats
+        original = runner._run_replay
 
-        def counting(*args, **kwargs):
-            replays.append(1)
-            return original(*args, **kwargs)
+        def counting(replay):
+            replays.append(replay)
+            return original(replay)
 
-        monkeypatch.setattr(hitrate, "collect_hit_stats", counting)
+        monkeypatch.setattr(runner, "_run_replay", counting)
         run(RunRequest(app="kafka", policy="furbys", **SMALL))
         run(RunRequest(app="kafka", policy="thermometer", **SMALL))
         # Same app/input/geometry/source: one replay serves both, plus
@@ -179,21 +179,17 @@ class TestSharedArtifacts:
     def test_artifact_sharing_matches_reference_path(self):
         """The shared artifact store yields exactly the hint map a direct
         profiling run builds."""
-        from repro.harness.artifacts import shared_profile
+        from repro.harness.runner import shared_profile
         from repro.profiling import profile_application
         from repro.workloads.registry import get_trace
 
         clear_memory_cache()
         request = RunRequest(app="kafka", policy="furbys", **SMALL)
         config = request.build_config()
-        options = dict(source="flack", n_bits=3, scope="per_set")
-        shared = shared_profile(
-            "kafka", "default", request.trace_len, config,
-            geometry=["zen3"], **options,
-        )
+        shared = shared_profile(request, "default")
         direct = profile_application(
             get_trace("kafka", "default", request.trace_len), config,
-            **options,
+            source="flack", n_bits=3, scope="per_set",
         )
         assert shared == direct.hints
 
@@ -214,7 +210,7 @@ class TestSharedArtifacts:
             for name in ("alt-seed", "default")
         ]
         merged = profiles[0].merged_with(profiles[1])
-        assert _profile_for(request, config) == merged.hints
+        assert _profile_for(request) == merged.hints
 
     def test_starts_above_two_to_the_63_profile_and_round_trip(
         self, tmp_path, monkeypatch
@@ -226,7 +222,8 @@ class TestSharedArtifacts:
         import io
 
         from repro.core.trace import Trace
-        from repro.harness.artifacts import shared_hit_stats, shared_profile
+        from repro.harness import runner
+        from repro.harness.runner import shared_hit_stats, shared_profile
         from repro.profiling import (collect_hit_rates, collect_hit_stats,
                                      profile_application, three_class_profile)
 
@@ -254,16 +251,14 @@ class TestSharedArtifacts:
 
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(artifacts, "get_trace", lambda *args: trace)
+        monkeypatch.setattr(runner, "get_trace", lambda *args: trace)
         clear_memory_cache()
-        options = dict(source="flack", geometry=["kernel-space"])
-        computed = shared_hit_stats("kafka", "default", 1200, config, **options)
-        computed_hints = shared_profile("kafka", "default", 1200, config,
-                                        n_bits=3, scope="per_set", **options)
+        request = RunRequest(app="kafka", policy="furbys", trace_len=1200)
+        computed = shared_hit_stats(request, "default")
+        computed_hints = shared_profile(request, "default")
         clear_memory_cache()  # the second calls read the disk entries
-        loaded = shared_hit_stats("kafka", "default", 1200, config, **options)
-        loaded_hints = shared_profile("kafka", "default", 1200, config,
-                                      n_bits=3, scope="per_set", **options)
+        loaded = shared_hit_stats(request, "default")
+        loaded_hints = shared_profile(request, "default")
         assert artifacts.census()["disk"]["hitstats"] == 1
         for column, again, other in zip(computed, loaded, stats):
             assert column.tolist() == again.tolist() == other.tolist()
@@ -510,8 +505,8 @@ class TestModelVersion:
     """``artifacts.MODEL_VERSION`` is part of every result's store key."""
 
     def test_bump_misses_memory_and_disk(self, tmp_path, monkeypatch):
+        from repro.harness import runner
         from repro.harness.parallel import run_batch
-        from repro.profiling import hitrate
 
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -527,9 +522,9 @@ class TestModelVersion:
         assert warm.disk_hits == 3
 
         replays = []
-        collect = hitrate.collect_hit_stats
-        monkeypatch.setattr(hitrate, "collect_hit_stats",
-                            lambda *a, **k: replays.append(1) or collect(*a, **k))
+        replay = runner._run_replay
+        monkeypatch.setattr(runner, "_run_replay",
+                            lambda request: replays.append(1) or replay(request))
         monkeypatch.setattr(artifacts, "MODEL_VERSION", "bumped")
         # Memory and disk both still hold every entry of the old version.
         results, bumped = run_batch(requests, jobs=1)

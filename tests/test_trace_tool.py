@@ -7,7 +7,7 @@ import sys
 
 from repro.config import preset
 from repro.frontend.pipeline import FrontendPipeline
-from repro.harness import artifacts
+from repro.harness import artifacts, runner
 from repro.harness.parallel import run_batch
 from repro.harness.runner import (
     RunRequest,
@@ -17,7 +17,6 @@ from repro.harness.runner import (
 )
 from repro.offline.belady import BeladyPolicy
 from repro.policies import make_policy
-from repro.profiling import hitrate
 from repro.tools.trace_tool import main
 from repro.workloads.registry import clear_trace_cache, get_trace, trace_cache_stats
 
@@ -130,22 +129,38 @@ class TestTraceTool:
         identity = ["kafka", "default", 900, "flack", 3, "per_set", ["zen3"]]
         old_layout = tmp_path / f"{artifacts.key('profile', identity)}.json"
         old_layout.write_text(json.dumps({"identity": identity, "hints": {}}))
+        # Profiling entries keyed by the replay's trace, source and
+        # geometry rather than by the replay request's cache key.
+        geometry = ["zen3", None, None, None, True, True, []]
+        old_identity = set()
+        for kind, identity, columns in (
+            ("hitstats",
+             ["kafka", "default", 900, "flack", geometry, "starts/hits/totals"],
+             {"starts": [64], "hits": [1], "totals": [2]}),
+            ("profile",
+             ["kafka", "default", 900, "flack", 3, "per_set", geometry,
+              "starts/groups"],
+             {"starts": [64], "groups": [0]}),
+        ):
+            entry = tmp_path / f"{artifacts.key(kind, identity)}.json"
+            artifacts._store_json(entry, {"identity": identity, **columns})
+            old_identity.add(entry)
         exited = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
                                 capture_output=True, text=True, check=True)
         orphan = tmp_path / f"stats-abc.json.{exited.stdout.strip()}.tmp"
         orphan.write_text("{")
         corrupt = tmp_path / "stats-def.json.corrupt"
         corrupt.write_text("{torn")
-        stale = old_version | {legacy, old_layout, orphan}
+        stale = old_version | old_identity | {legacy, old_layout, orphan}
 
         capsys.readouterr()
         assert main(["inspect", "--cache-stats"]) == 0
         out = capsys.readouterr().out
-        assert "store stale        : stats=3 hitstats=0 profile=1 trace=0" in out
+        assert "store stale        : stats=3 hitstats=1 profile=2 trace=0" in out
         assert main(["gc"]) == 0
         out = capsys.readouterr().out
-        assert ("removed 4 stale cache files: "
-                "stats=3 hitstats=0 profile=1 trace=0") in out
+        assert ("removed 6 stale cache files: "
+                "stats=3 hitstats=1 profile=2 trace=0") in out
         assert set(tmp_path.iterdir()) == live_files | {corrupt}
         assert not stale & set(tmp_path.iterdir())
 
@@ -154,7 +169,7 @@ class TestTraceTool:
         _, report = run_batch(live, jobs=1)
         assert report.disk_hits == 1
         assert artifacts.census()["stale"] == dict.fromkeys(artifacts.KINDS, 0)
-        monkeypatch.setattr(hitrate, "collect_hit_stats", None)  # no replay
+        monkeypatch.setattr(runner, "_run_replay", None)  # no replay
         trace = get_trace("kafka", "default", 900)
         for policy in ("furbys", "thermometer"):  # profile, then hitstats
             request = RunRequest(policy=policy, **small)
