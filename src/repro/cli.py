@@ -25,7 +25,7 @@ import sys
 import time
 
 from .harness.experiments import EXPERIMENTS
-from .harness.parallel import ON_ERROR_MODES
+from .harness.parallel import ON_ERROR_MODES, last_batch_report
 from .harness.reporting import (
     bar_chart, format_batch_report, format_failure, format_table,
 )
@@ -113,6 +113,7 @@ def _bench(args: argparse.Namespace) -> int:
 
 def _render(name: str) -> str:
     experiment = EXPERIMENTS[name]
+    before = last_batch_report()
     started = time.time()
     result = experiment()
     elapsed = time.time() - started
@@ -131,10 +132,9 @@ def _render(name: str) -> str:
             ))
         else:
             parts.append(f"{key}: {value}")
-    from .harness.parallel import last_batch_report
-
+    # An experiment that submits no batch leaves the previous report.
     report = last_batch_report()
-    if report is not None:
+    if report is not None and report is not before:
         parts.append(format_batch_report(report))
     parts.append(f"[{elapsed:.1f}s]")
     return "\n".join(parts)

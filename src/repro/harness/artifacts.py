@@ -17,9 +17,9 @@ I/O; the runner builds the payloads and values it stores.
   ascending-start columns ``starts`` (uint64)/``hits``/``totals`` of a
   :class:`~repro.profiling.hitrate.HitStats`;
 * ``profile`` — one training input's FURBYS hint map, keyed by its
-  replay's cache key, the hint width and weight scope and
-  :data:`LAYOUTS`, as the columns ``starts`` (uint64)/``groups`` of a
-  :class:`~repro.profiling.hints.HintColumns`;
+  replay's cache key, the hint width and weight scope, a non-Jenks
+  binning and :data:`LAYOUTS`, as the columns ``starts``
+  (uint64)/``groups`` of a :class:`~repro.profiling.hints.HintColumns`;
 * ``trace`` — a generated workload trace in the v2 binary format.
 
 :func:`key` is the one function that derives a store key.  The key is
@@ -189,8 +189,9 @@ def probe_json(path: Path, kind: str) -> dict | None:
         return None
 
 
-def _store_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` with its checksum, encoding it only once.
+def _store_json(path: Path, payload: dict) -> bool:
+    """Write ``payload`` with its checksum, encoding it only once;
+    whether the write succeeded.
 
     The canonical text the checksum covers is also the file body: the
     ``"sha256"`` field is spliced in before its closing brace, and
@@ -207,6 +208,8 @@ def _store_json(path: Path, payload: dict) -> None:
     except OSError:
         resilience.note_fallback("disk_write")
         tmp.unlink(missing_ok=True)
+        return False
+    return True
 
 
 def lookup(store_key: str, decode: Callable) -> tuple[object, str | None]:
@@ -234,12 +237,12 @@ def lookup(store_key: str, decode: Callable) -> tuple[object, str | None]:
     return value, "disk"
 
 
-def publish(store_key: str, value: object, encode: Callable | None = None):
-    """Hold ``value`` in memory and, given ``encode``, write it to disk."""
+def publish(store_key: str, value: object, encode: Callable | None = None) -> bool:
+    """Hold ``value`` in memory and, given ``encode``, write it to disk;
+    whether the disk now holds it."""
     _memory[store_key] = value
     path = _path(store_key) if encode is not None else None
-    if path is not None:
-        _store_json(path, encode(value))
+    return path is not None and _store_json(path, encode(value))
 
 
 def fetch(store_key: str, compute: Callable, encode: Callable, decode: Callable):

@@ -23,9 +23,9 @@ from ..power.ppw import ppw_gain
 from ..timing.model import TimingModel
 from ..workloads.apps import app_names
 from ..workloads.registry import env_trace_len, get_trace
-from .parallel import run_many
+from .parallel import last_batch_report, run_many
 from .reporting import mean, percent
-from .runner import RunRequest, shared_hit_stats, shared_profile
+from .runner import RunRequest, hit_stats
 
 #: Policies of the Figure 5/8/11 comparisons, display order.
 COMPARISON_POLICIES = (
@@ -690,36 +690,26 @@ def sec6c_coverage() -> dict:
 # --------------------------------------------------------------------------
 
 def fig22_hotness(app: str = "kafka") -> dict:
-    """Per-policy hit rate over PW hotness deciles on one app (Figure 22)."""
-    from ..frontend.pipeline import FrontendPipeline
-    from ..policies import make_policy
-    from ..policies.furbys import FurbysPolicy
+    """Per-policy hit rate over PW hotness deciles on one app (Figure 22).
 
-    config = preset("zen3")
-    trace = get_trace(app)
-    warmup = len(trace) // 3
-
-    def hit_stats_for(policy, hints=None):
-        pipeline = FrontendPipeline(config, policy, hints=hints,
-                                    record_hit_rates=True)
-        pipeline.run(trace, warmup=warmup)
-        assert pipeline.pw_hit_stats is not None
-        return pipeline.pw_hit_stats
-
-    # The flack column is FURBYS's profiling replay, from the store.
-    furbys = RunRequest(app=app, policy="furbys")
-    flack = shared_hit_stats(furbys, "default")
-    runs = {
-        "lru": hit_stats_for(make_policy("lru")),
-        "srrip": hit_stats_for(make_policy("srrip")),
-        "furbys": hit_stats_for(FurbysPolicy(),
-                                hints=shared_profile(furbys, "default")),
-        "flack": dict(zip(flack.starts.tolist(),
-                          zip(flack.hits.tolist(), flack.totals.tolist()))),
+    The ``flack`` column is FURBYS's profiling replay: it runs before
+    ``furbys`` in the batch and serves its hints.
+    """
+    columns = {
+        policy: RunRequest(app=app, policy=policy, record_hit_stats=True)
+        for policy in ("lru", "srrip", "furbys", "flack")
     }
-    # Sort PWs by total access volume (hot -> cold), split into deciles.
+    run_many(list(columns.values()))
+    runs = {}
+    for name, request in columns.items():
+        stats = hit_stats(request)
+        runs[name] = dict(zip(stats.starts.tolist(),
+                              zip(stats.hits.tolist(), stats.totals.tolist())))
+    # Sort PWs by LRU access volume (hot -> cold; ties in first-access
+    # order), split into deciles.
     reference = runs["lru"]
-    ranked = sorted(reference, key=lambda s: -reference[s][1])
+    first_access = dict.fromkeys(get_trace(app).columns.starts)
+    ranked = sorted(first_access, key=lambda s: -reference[s][1])
     deciles = 10
     rows = []
     for d in range(deciles):
@@ -783,37 +773,20 @@ def sec7_noninclusive() -> dict:
 
 def abl_jenks_vs_uniform() -> dict:
     """Jenks natural breaks vs. equal-width hit-rate binning."""
-    from ..frontend.pipeline import FrontendPipeline
-    from ..policies.furbys import FurbysPolicy
-
-    config = preset("zen3")
     rows = []
     deltas = []
     apps = selected_apps()
     stats_by = _run_map({
-        (app, policy): RunRequest(app=app, policy=policy)
+        (app, policy, binning): RunRequest(
+            app=app, policy=policy, hint_binning=binning)
         for app in apps
-        for policy in ("lru", "furbys")
+        for policy, binning in (("lru", "jenks"), ("furbys", "jenks"),
+                                ("furbys", "uniform"))
     })
     for app in apps:
-        trace = get_trace(app)
-        warmup = len(trace) // 3
-        base = stats_by[(app, "lru")]
-        furbys = RunRequest(app=app, policy="furbys")
-        hit_stats = shared_hit_stats(furbys, "default")
-        jenks_hints = shared_profile(furbys, "default")
-        # Equal-width binning of the same hit rates.
-        uniform_hints = {
-            start: min(7, int(rate * 8))
-            for start, rate in zip(hit_stats.starts.tolist(),
-                                   hit_stats.rates().tolist())
-            if start in jenks_hints
-        }
-        def evaluate(hints):
-            pipeline = FrontendPipeline(config, FurbysPolicy(), hints=hints)
-            return pipeline.run(trace, warmup=warmup)
-        jenks_red = stats_by[(app, "furbys")].miss_reduction_vs(base)
-        uniform_red = evaluate(uniform_hints).miss_reduction_vs(base)
+        base = stats_by[(app, "lru", "jenks")]
+        jenks_red = stats_by[(app, "furbys", "jenks")].miss_reduction_vs(base)
+        uniform_red = stats_by[(app, "furbys", "uniform")].miss_reduction_vs(base)
         deltas.append(jenks_red - uniform_red)
         rows.append((app, percent(jenks_red, 1), percent(uniform_red, 1)))
     return {
@@ -1042,6 +1015,7 @@ def run_recorded(
             f"unknown experiment {figure!r}; try 'repro list' or 'bench'"
         )
     started = time.perf_counter()
+    before = last_batch_report()
     with ExperimentRun(name or figure, path=ledger, note=note) as record:
         if figure == "bench":
             from .bench import BENCH_APPS, BENCH_POLICIES, representative_requests
@@ -1055,8 +1029,7 @@ def run_recorded(
             result = None
         else:
             result = EXPERIMENTS[figure]()
-    from .parallel import last_batch_report
-
+    # An experiment that submits no batch leaves the previous report.
     report = last_batch_report()
     summary = {
         "id": record.experiment_id,
@@ -1066,7 +1039,7 @@ def run_recorded(
     }
     if record.ledger is None:
         summary["state"] = "unrecorded (REPRO_LEDGER=0)"
-    if report is not None:
+    if report is not None and report is not before:
         summary["requests"] = report.requests
         summary["unique"] = report.unique
         summary["simulations"] = report.simulations

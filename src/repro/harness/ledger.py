@@ -192,7 +192,7 @@ def _request_payload(request: RunRequest) -> dict:
     Storing the resolved ``trace_len``/``warmup`` makes a resumed run
     independent of the resuming process's ``REPRO_TRACE_LEN``.
     """
-    payload = dataclasses.asdict(request)
+    payload = request.to_json()
     payload["trace_len"] = request.resolved_trace_len()
     payload["warmup"] = request.resolved_warmup()
     return payload

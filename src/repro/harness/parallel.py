@@ -9,11 +9,12 @@ list to :func:`run_many` instead of looping over ``run()``:
    canonical form (:meth:`~repro.harness.runner.RunRequest.canonical`).
    Each simulation runs once, in canonical form, and its result (or
    skip) is handed to, and journaled under, every request key it serves;
-2. **cache probe** — memory/disk hits are served inline in the parent,
-   and the cold simulations are ordered by trace (first appearance of
-   ``(app, input, trace_len)``), each trace's FURBYS/Thermometer
-   requests last, so an arm that is a profiling replay publishes its
-   hit stats before the requests that need them;
+2. **cache probe** — memory/disk hits are served inline in the parent
+   (a hit serves a request asking for hit stats only when the store
+   holds those too), and the cold simulations are ordered by trace
+   (first appearance of ``(app, input, trace_len)``), each trace's
+   FURBYS/Thermometer requests last, so an arm that is a profiling
+   replay publishes its hit stats before the requests that need them;
 3. **fan-out** — the parent builds (or disk-loads) each distinct cold
    ``(app, input, trace_len)`` trace once, then forks the
    :class:`~concurrent.futures.ProcessPoolExecutor`, so every worker
@@ -24,7 +25,11 @@ list to :func:`run_many` instead of looping over ``run()``:
    chunk of its FURBYS/Thermometer requests;
 4. **write-back** — results are published to the artifact store's
    memory and disk by the parent only (workers never write a result),
-   so each executed simulation is written once.
+   so each executed simulation is written once.  A worker writes the
+   hit stats it records (a profile-source arm, a profiling replay, a
+   request that asks for them) itself; those it cannot write
+   (``REPRO_CACHE=0``) come back with its results, and the parent
+   holds them in memory.
 
 Every cold request then has one path: :func:`~repro.harness.runner.execute`
 builds its pipeline and :meth:`~repro.frontend.pipeline.FrontendPipeline.run`
@@ -112,9 +117,11 @@ from .runner import (
     PROFILE_POLICIES,
     RunRequest,
     RunResult,
+    collected_hit_stats,
     execute,
     simulation,
     store_stats,
+    unrecorded_replay,
 )
 
 __all__ = [
@@ -265,7 +272,10 @@ def _simulate_chunk(
 
     Runs inside a forked pool process, which inherited the parent's
     trace cache, so same-trace requests grouped onto this worker build
-    nothing.  An exception is shipped back as its type name, formatted
+    nothing.  A request's result comes back with the hit stats its
+    execution recorded but could not write to disk
+    (:func:`~repro.harness.runner.collected_hit_stats`).
+    An exception is shipped back as its type name, formatted
     traceback and ``retry_policy``'s verdict on the live exception, so
     the parent can retry it and attach the offending request.  The
     second return value is this chunk's fallback-counter delta
@@ -281,7 +291,9 @@ def _simulate_chunk(
     for index, request in zip(task_indices, requests):
         try:
             faultinject.on_worker_task(index)
-            out.append(("ok", execute(request)))
+            with collected_hit_stats() as recorded:
+                stats = execute(request)
+            out.append(("ok", (stats, recorded)))
         except Exception as exc:
             out.append(("err", {
                 "type": type(exc).__name__,
@@ -329,7 +341,7 @@ class _PendingTask:
     """One cold simulation's execution state across attempts."""
 
     key: str  # the simulation key
-    request: RunRequest  # canonical: what runs
+    request: RunRequest  # canonical, plus any hit-stats ask: what runs
     #: ``(request key, request)`` of every request this simulation
     #: serves, first asker first; failures name the first.
     aliases: list[tuple[str, RunRequest]]
@@ -424,7 +436,11 @@ class _BatchExecutor:
         else:
             task.state = "pending"
 
-    def _record_success(self, task: _PendingTask, stats: SimulationStats) -> None:
+    def _record_success(
+        self, task: _PendingTask, stats: SimulationStats, recorded=(),
+    ) -> None:
+        for store_key, hit_stats in recorded:
+            artifacts.publish(store_key, hit_stats)
         store_stats(task.request, stats, task.key)
         task.state = "done"
         _serve(task.aliases, stats, self.results, self.journal)
@@ -495,7 +511,7 @@ class _BatchExecutor:
                     self.report.faults.merge_counters(counter_delta)
                     for task, (status, payload) in zip(chunk, chunk_results):
                         if status == "ok":
-                            self._record_success(task, payload)
+                            self._record_success(task, *payload)
                         else:
                             self._note_attempt_failure(
                                 task, payload["type"], payload["traceback"],
@@ -678,13 +694,20 @@ def run_batch(
             (key, request))
     report.simulations = len(simulations)
 
-    # 3. serve cache hits inline.
+    # 3. serve cache hits inline.  A run records hit stats when a
+    # request it serves asks, so a stored result serves an ask only when
+    # the store holds its hit stats too.
     results: dict[str, SimulationStats | None] = {}
     cold = []
     for sim_key, (canonical, aliases) in simulations.items():
-        stats, tier = artifacts.lookup(
-            artifacts.key("stats", sim_key), RunResult.stats_from_json
-        )
+        asks = any(request.record_hit_stats for _, request in aliases)
+        if asks:
+            canonical = dataclasses.replace(canonical, record_hit_stats=True)
+        stats, tier = None, None
+        if not asks or unrecorded_replay(canonical) is None:
+            stats, tier = artifacts.lookup(
+                artifacts.key("stats", sim_key), RunResult.stats_from_json
+            )
         if stats is not None:
             if tier == "memory":
                 report.memory_hits += 1

@@ -20,7 +20,9 @@ the :data:`~repro.profiling.hitrate.PROFILE_ARMS` arm of the profile
 source on the training input, at the request's config and geometry.  Its
 cache key keys the ``hitstats`` and ``profile`` entries built from it,
 and :func:`execute` runs it: an arm publishes its hit stats as it runs,
-and :func:`shared_hit_stats` executes the replay only when none did.
+and so does any request that asks (``record_hit_stats``), under the same
+replay identity.  :func:`hit_stats` reads them, executing the replay
+only when nothing published it first.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .. import stagetimer
@@ -81,6 +84,9 @@ class RunRequest:
     trace_len: int | None = None
     warmup: int | None = None
     classify_misses: bool = False
+    #: Record the per-PW hit stats too (:func:`hit_stats` reads them);
+    #: the simulation and its result are the same either way.
+    record_hit_stats: bool = False
     # --- profile-guided policy inputs ---
     profile_source: str = "flack"
     #: Training inputs for the profile (FURBYS / Thermometer); empty
@@ -88,6 +94,9 @@ class RunRequest:
     profile_inputs: tuple[str, ...] = ()
     hint_bits: int = 3
     weight_scope: str = "per_set"
+    #: Hit-rate grouping: ``"jenks"`` natural breaks or ``"uniform"``
+    #: equal-width bins (:func:`~repro.profiling.hints.build_hints`).
+    hint_binning: str = "jenks"
     furbys_bypass: bool = True
     furbys_pitfall_depth: int = 2
 
@@ -129,14 +138,16 @@ class RunRequest:
         ``flack[A+VC+SB]`` is ``flack`` (the same flags), a policy
         outside :data:`PROFILE_POLICIES` gets the default profile
         fields, a profile-guided one its training inputs sorted (its
-        own input alone is the default ``()``), and the trace length and
-        warmup are resolved.  An unknown preset keeps its overrides:
-        :meth:`build_config` reports it when the request runs.
+        own input alone is the default ``()``), the trace length and
+        warmup are resolved, and no hit stats are asked for.  An unknown
+        preset keeps its overrides: :meth:`build_config` reports it when
+        the request runs.
         """
         changes: dict[str, object] = dict(
             trace_len=self.resolved_trace_len(),
             warmup=self.resolved_warmup(),
             perfect=tuple(sorted(set(self.perfect))),
+            record_hit_stats=False,
         )
         if self.config in PRESETS:
             uop_cache = preset(self.config).uop_cache
@@ -154,8 +165,18 @@ class RunRequest:
             changes.update(_PROFILE_DEFAULTS)
         return dataclasses.replace(self, **changes)
 
-    def cache_key(self) -> str:
+    def to_json(self) -> dict:
+        """The request's fields, without those of :data:`_KEYED_OFF_DEFAULT`
+        that hold their default: the form its cache key hashes, its
+        stored result embeds and the ledger journals."""
         payload = dataclasses.asdict(self)
+        for name, default in _KEYED_OFF_DEFAULT.items():
+            if payload[name] == default:
+                del payload[name]
+        return payload
+
+    def cache_key(self) -> str:
+        payload = self.to_json()
         # Resolve environment-dependent defaults so a cached result is
         # only reused for the exact trace geometry it was computed on
         # (REPRO_TRACE_LEN changes must not serve stale entries).
@@ -175,12 +196,19 @@ class RunRequest:
         return cls(**data)
 
 
+def _defaults(*names: str) -> dict[str, object]:
+    return {name: RunRequest.__dataclass_fields__[name].default for name in names}
+
+
 #: The defaults of the fields only the profile-guided policies read.
-_PROFILE_DEFAULTS = {
-    name: RunRequest.__dataclass_fields__[name].default
-    for name in ("profile_source", "profile_inputs", "hint_bits",
-                 "weight_scope", "furbys_bypass", "furbys_pitfall_depth")
-}
+_PROFILE_DEFAULTS = _defaults(
+    "profile_source", "profile_inputs", "hint_bits", "weight_scope",
+    "hint_binning", "furbys_bypass", "furbys_pitfall_depth")
+
+#: Fields younger than the stored keys: each enters a request's JSON
+#: form only when it leaves its default, so the key, stored result and
+#: ledger row of every request that does not set it stay as they were.
+_KEYED_OFF_DEFAULT = _defaults("record_hit_stats", "hint_binning")
 
 
 def simulation(request: RunRequest, key: str | None = None) -> tuple[RunRequest, str]:
@@ -203,7 +231,7 @@ class RunResult:
 
     def to_json(self) -> dict:
         stats = dataclasses.asdict(self.stats)
-        return {"request": dataclasses.asdict(self.request), "stats": stats}
+        return {"request": self.request.to_json(), "stats": stats}
 
     @classmethod
     def stats_from_json(cls, payload: dict) -> SimulationStats:
@@ -275,21 +303,43 @@ def _stored_hit_stats(replay: RunRequest) -> HitStats | None:
     )[0]
 
 
+#: ``(store key, hit stats)`` of each recording :func:`execute` could
+#: not write to disk while :func:`collected_hit_stats` is active.
+_collected: list[tuple[str, HitStats]] | None = None
+
+
+@contextmanager
+def collected_hit_stats():
+    """Collect the hit stats :func:`execute` records in this block and
+    could not write to disk (``REPRO_CACHE=0``, or a failed write).
+
+    A pool worker ships them to the parent with its result, so the
+    parent holds what it could not read back from the disk layer.
+    """
+    global _collected
+    outer, _collected = _collected, []
+    try:
+        yield _collected
+    finally:
+        _collected = outer
+
+
 def _run_replay(replay: RunRequest) -> None:
     """Run one profiling replay; :func:`execute` publishes its hit stats."""
     with stagetimer.timed("profile_sim"):
-        execute(replay)
+        execute(dataclasses.replace(replay, record_hit_stats=True))
 
 
-def shared_hit_stats(request: RunRequest, input_name: str) -> HitStats:
-    """The per-PW hit stats of ``request``'s profiling replay on one
-    training input, computed at most once.
+def hit_stats(request: RunRequest) -> HitStats:
+    """The per-PW hit stats of ``request``'s simulation, computed at
+    most once.
 
-    The replay runs here only when no arm of the same simulation
-    published its stats first; the store keeps the three read-only
-    columns as they are.
+    They are keyed by its replay identity (:func:`_replay` of its own
+    policy and input).  The replay runs here only when no run of the
+    same simulation recorded them first: an arm, or a request that
+    asked.  The store keeps the three read-only columns as they are.
     """
-    replay = _training_replay(request, input_name)
+    replay = _replay(request, request.policy, request.input_name)
     stats = _stored_hit_stats(replay)
     if stats is None:
         _run_replay(replay)
@@ -297,31 +347,50 @@ def shared_hit_stats(request: RunRequest, input_name: str) -> HitStats:
     return stats
 
 
+def shared_hit_stats(request: RunRequest, input_name: str) -> HitStats:
+    """The per-PW hit stats of ``request``'s profiling replay on one
+    training input (:func:`hit_stats` of :func:`_training_replay`)."""
+    return hit_stats(_training_replay(request, input_name))
+
+
+def _profile_key(request: RunRequest, replay: RunRequest) -> tuple[str, list]:
+    """The ``profile`` store key of ``request``'s hint map built from
+    ``replay`` and the identity its entry embeds: the replay's cache key,
+    the hint width, weight scope and a non-default binning (the Jenks
+    one keeps the entries stored before binnings could differ), and the
+    column layout."""
+    binning = [] if request.hint_binning == "jenks" else [request.hint_binning]
+    identity = [replay.cache_key(), request.hint_bits, request.weight_scope,
+                *binning, artifacts.LAYOUTS["profile"]]
+    return artifacts.key("profile", identity), identity
+
+
 def shared_profile(request: RunRequest, input_name: str) -> HintMap:
     """``request``'s FURBYS hint map for one training input, sharing the
     profiling replay.
 
-    The hit stats are shared across hint widths, weight scopes and with
-    Thermometer; only the clustering step is parameterized.  The store
-    keeps the map as ``starts``/``groups`` columns and each call returns
-    a fresh dict of them.  Multi-input merges are not stored (see
-    :func:`_profile_for`): they are cheap merges of these maps.
+    The hit stats are shared across hint widths, weight scopes,
+    binnings and with Thermometer; only the clustering step is
+    parameterized.  The store keeps the map as ``starts``/``groups``
+    columns and each call returns a fresh dict of them.  Multi-input
+    merges are not stored (see :func:`_profile_for`): they are cheap
+    merges of these maps.
     """
     replay = _training_replay(request, input_name)
-    identity = [replay.cache_key(), request.hint_bits, request.weight_scope,
-                artifacts.LAYOUTS["profile"]]
+    store_key, identity = _profile_key(request, replay)
 
     def compute() -> HintColumns:
         profile = profile_application(
             get_trace(replay.app, input_name, replay.trace_len),
             replay.build_config(), source=request.profile_source,
             n_bits=request.hint_bits, scope=request.weight_scope,
+            binning=request.hint_binning,
             hit_stats=shared_hit_stats(request, input_name),
         )
         return HintColumns.from_map(profile.hints)
 
     columns = artifacts.fetch(
-        artifacts.key("profile", identity), compute,
+        store_key, compute,
         encode=lambda hints: {"identity": identity,
                               "starts": hints.starts.tolist(),
                               "groups": hints.groups.tolist()},
@@ -435,14 +504,14 @@ def store_stats(
     artifacts.publish(stats_key(request, key), stats, _encode_stats(request))
 
 
-def _unrecorded_replay(request: RunRequest) -> RunRequest | None:
-    """The profiling replay ``request`` is, when it is a profile-source
-    arm (:data:`~repro.profiling.hitrate.PROFILE_ARMS`) whose replay's
-    hit stats the store does not hold yet; else ``None``."""
-    canonical = request.canonical()
-    if canonical.policy not in PROFILE_ARMS.values():
+def unrecorded_replay(request: RunRequest) -> RunRequest | None:
+    """The replay identity ``request`` records its hit stats under,
+    when it records them — it asks, or it is a profile-source arm
+    (:data:`~repro.profiling.hitrate.PROFILE_ARMS`) — and the store
+    does not hold them yet; else ``None``."""
+    replay = _replay(request, request.policy, request.input_name)
+    if not (request.record_hit_stats or replay.policy in PROFILE_ARMS.values()):
         return None
-    replay = _replay(canonical, canonical.policy, canonical.input_name)
     return None if _stored_hit_stats(replay) is not None else replay
 
 
@@ -451,13 +520,14 @@ def execute(request: RunRequest) -> SimulationStats:
 
     Traces and profiling artifacts still come from the store, which is
     what makes grouping same-app requests onto one worker cheap.  An
-    arm that is a profiling replay records its per-PW hit stats and
-    publishes them there: this is the one place a replay runs.
+    arm that is a profiling replay, and a request that asks, records
+    its per-PW hit stats and publishes them there: this is the one
+    place a replay runs and the one place hit stats are recorded.
     """
     config = request.build_config()
     trace = get_trace(request.app, request.input_name, request.resolved_trace_len())
     policy, hints = _build_policy_and_hints(request, config, trace)
-    replay = _unrecorded_replay(request)
+    replay = unrecorded_replay(request)
     pipeline = FrontendPipeline(
         config, policy, hints=hints, classify_misses=request.classify_misses,
         record_hit_rates=replay is not None,
@@ -465,13 +535,16 @@ def execute(request: RunRequest) -> SimulationStats:
     stats = pipeline.run(trace, warmup=request.resolved_warmup())
     if replay is not None:
         store_key, identity = _hit_stats_key(replay)
-        artifacts.publish(
-            store_key, HitStats.from_counts(pipeline.pw_hit_stats),
-            lambda hit_stats: {"identity": identity,
-                               "starts": hit_stats.starts.tolist(),
-                               "hits": hit_stats.hits.tolist(),
-                               "totals": hit_stats.totals.tolist()},
+        recorded = HitStats.from_counts(pipeline.pw_hit_stats)
+        written = artifacts.publish(
+            store_key, recorded,
+            lambda columns: {"identity": identity,
+                             "starts": columns.starts.tolist(),
+                             "hits": columns.hits.tolist(),
+                             "totals": columns.totals.tolist()},
         )
+        if not written and _collected is not None:
+            _collected.append((store_key, recorded))
     return stats
 
 

@@ -13,7 +13,9 @@ Two constraints of that encoding are modelled here:
 
 Weights are computed at cache-set granularity by default, matching the
 paper ("replacement decisions are performed for each cache set
-individually"); global scope is available for the ablation bench.
+individually"); global scope is available for the ablation bench.  The
+groups are Jenks natural breaks of the hit rates by default; equal-width
+bins are the ablation bench's alternative.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from .jenks import jenks_breaks, jenks_groups
 
 #: A hint map: PW start address -> weight group (0 = coldest).
 HintMap = dict[int, int]
+
+#: How :func:`build_hints` groups hit rates.
+BINNINGS = ("jenks", "uniform")
 
 
 class HintColumns(NamedTuple):
@@ -78,18 +83,27 @@ def build_hints(
     scope: str = "per_set",
     n_sets: int = 64,
     set_index_fn: Callable[[int, int], int] | None = None,
+    binning: str = "jenks",
 ) -> HintMap:
     """Cluster hit rates into ``2**n_bits`` groups and emit hints.
 
     ``scope`` is ``"per_set"`` (paper default) or ``"global"``.
+    ``binning`` is ``"jenks"`` (natural breaks, per scope) or
+    ``"uniform"``: ``2**n_bits`` equal-width bins of ``[0, 1]``, which
+    no scope changes.
     """
     if n_bits < 1 or n_bits > 8:
         raise ProfilingError("hint width must be 1-8 bits")
     if scope not in ("per_set", "global"):
         raise ProfilingError(f"unknown weight scope {scope!r}")
+    if binning not in BINNINGS:
+        raise ProfilingError(
+            f"unknown hint binning {binning!r}; expected one of {BINNINGS}")
     n_groups = 1 << n_bits
     allowed = hintable_starts(trace)
     rated = {s: r for s, r in hit_rates.items() if s in allowed}
+    if binning == "uniform":
+        return {s: min(n_groups - 1, int(r * n_groups)) for s, r in rated.items()}
     if not rated:
         return {}
 

@@ -79,13 +79,15 @@ def profile_application(
     source: str = "flack",
     n_bits: int = 3,
     scope: str = "per_set",
+    binning: str = "jenks",
     hit_stats: HitStats | None = None,
 ) -> FurbysProfile:
     """Run STEP 2-6 on a training trace.
 
     ``source`` selects the offline decision generator (``flack``,
     ``belady`` or ``foo`` — the Figure 15 comparison); ``n_bits`` the
-    hint width (Figure 19); ``scope`` the weight granularity.
+    hint width (Figure 19); ``scope`` the weight granularity;
+    ``binning`` the grouping (Jenks, or the ablation's equal width).
     ``hit_stats`` supplies an already-collected profiling replay (see
     :mod:`repro.harness.runner`), skipping STEP 3-5's simulation.
     """
@@ -100,6 +102,7 @@ def profile_application(
             n_bits=n_bits,
             scope=scope,
             n_sets=config.uop_cache.sets,
+            binning=binning,
         )
     return FurbysProfile(
         hints=hints, hit_rates=hit_rates, source=source, n_bits=n_bits,

@@ -255,5 +255,4 @@ class TestReplaysAndStore:
         _, report = run_batch([canonical, older], jobs=1)
         assert (report.simulations, report.disk_hits) == (1, 1)
         saved = json.loads(next(iter(live)).read_text())
-        assert saved["request"] == json.loads(json.dumps(
-            dataclasses.asdict(canonical)))
+        assert saved["request"] == json.loads(json.dumps(canonical.to_json()))
