@@ -35,7 +35,3 @@ class MicroOp:
     kind: UopKind = UopKind.ALU
     #: True for the last micro-op of its parent instruction.
     ends_instruction: bool = True
-
-    @property
-    def is_branch(self) -> bool:
-        return self.kind is UopKind.BRANCH

@@ -214,11 +214,6 @@ class TraceColumns:
 
     # --- binary payload ------------------------------------------------------
 
-    @staticmethod
-    def payload_size(n: int) -> int:
-        """Exact byte size of the packed payload for ``n`` lookups."""
-        return _LOOKUP_BYTES * n
-
     def to_payload(self) -> bytes:
         """The five columns back to back, little-endian."""
         columns = (self.starts, self.uops, self.insts, self.bytes_len, self.flags)

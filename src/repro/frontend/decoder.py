@@ -44,8 +44,3 @@ class LegacyDecoder:
         cycles = max(1, math.ceil(insts / self.config.decode_width))
         self.active_cycles += cycles
         return cycles
-
-    @property
-    def fill_latency(self) -> int:
-        """Cycles before the first micro-op of a fresh episode emerges."""
-        return self.config.decode_latency_cycles

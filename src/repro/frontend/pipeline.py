@@ -24,9 +24,12 @@ Path switches, BTB accesses, decode activity and all power-model
 counters are accounted along the way.
 
 :meth:`FrontendPipeline.step` is the reference implementation of one
-lookup.  :meth:`FrontendPipeline.run` hands every configuration the
-vectorized kernels support to them and runs the ``step`` loop
-(:meth:`FrontendPipeline.run_reference`) for the rest.
+lookup.  :meth:`FrontendPipeline.run` hands every policy with a kernel
+kind to the vectorized kernel and runs the ``step`` loop
+(:meth:`FrontendPipeline.run_reference`) only for the rest (DRRIP,
+Hawkeye, or a pipeline already stepped by hand — see
+:func:`repro.frontend.simd.fallback_reason`); the loop is otherwise
+the kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +56,14 @@ class _ShadowClassifier:
     fully-associative LRU cache with the same total entry capacity
     arbitrates: present there → ``conflict`` (only the set mapping
     lost it), absent → ``capacity``.
+
+    The class never depends on the replacement policy, so
+    :meth:`classes` computes it for a run of lookups in one pass; the
+    per-lookup :meth:`classify`/:meth:`touch` pair is its oracle.
     """
+
+    #: The classes :meth:`classes` codes as 0, 1 and 2.
+    CODES = (MissClass.COLD, MissClass.CAPACITY, MissClass.CONFLICT)
 
     def __init__(self, capacity_entries: int, uops_per_entry: int) -> None:
         self._capacity = capacity_entries
@@ -83,6 +93,41 @@ class _ShadowClassifier:
         if size <= self._capacity:
             self._fa[start] = size
             self._used += size
+
+    def classes(self, starts, uops) -> bytearray:
+        """Classify, then touch, each lookup of a run in turn.
+
+        ``starts`` and ``uops`` are the run's columns.  Returns one code
+        per lookup: its :data:`CODES` index, the class :meth:`classify`
+        gives it before its own :meth:`touch`.  The shadow state
+        advances exactly as the per-lookup calls would advance it, so a
+        run split into consecutive pieces yields the same codes.
+        """
+        seen = self._seen
+        fa = self._fa
+        fa_pop = fa.pop
+        evict = fa.popitem
+        capacity = self._capacity
+        uops_per_entry = self._uops_per_entry
+        used = self._used
+        codes = bytearray(len(starts))
+        for i, (start, n_uops) in enumerate(zip(starts, uops)):
+            size = -(-n_uops // uops_per_entry)
+            resident = fa_pop(start, None)
+            if resident is not None:
+                codes[i] = 2  # conflict
+                used -= resident
+            elif start in seen:
+                codes[i] = 1  # capacity
+            else:
+                seen.add(start)  # cold (code 0)
+            while used + size > capacity and fa:
+                used -= evict(last=False)[1]
+            if size <= capacity:
+                fa[start] = size
+                used += size
+        self._used = used
+        return codes
 
 
 class FrontendPipeline:
@@ -315,7 +360,7 @@ class FrontendPipeline:
 
         The semantic baseline the kernels are verified against
         (golden-stats and property tests), and what :meth:`run` runs
-        for configurations no kernel serves.
+        for policies without a kernel kind.
         """
         for now, lookup in enumerate(trace):
             if now == warmup and warmup > 0:
@@ -329,16 +374,18 @@ class FrontendPipeline:
         Warmup keeps all microarchitectural state (caches, policy
         metadata, pending insertions) but discards the counters.
 
-        Supported configurations (the online LRU/SRRIP/random/GHRP
-        kinds plus the offline and profile-guided families — Belady,
-        FOO/FLACK replay, FURBYS, Thermometer — with or without per-PW
-        hit-rate recording or a perfect micro-op cache) run the
-        vectorized :mod:`repro.frontend.simd`
-        kernel, one template for every kind, through
-        :func:`repro.frontend.simd.run_kernel`; everything else runs
+        Every policy with a kernel kind — the online LRU/SRRIP/random/
+        GHRP, SHiP++ and Mockingjay, and the offline and profile-guided
+        families: Belady, FOO/FLACK replay, FURBYS, Thermometer — runs
+        the vectorized :mod:`repro.frontend.simd` kernel, one template
+        for every kind, through :func:`repro.frontend.simd.run_kernel`,
+        with or without miss classification, per-PW hit-rate recording
+        or a perfect micro-op cache.  A policy without one (DRRIP,
+        Hawkeye), or any other shape
+        :func:`repro.frontend.simd.fallback_reason` names, runs
         :meth:`run_reference`, counting the reason under a
-        ``sim_fallback:<policy>:<reason>`` fallback counter.  The kernel
-        is bit-identical to :meth:`run_reference` — see
+        ``sim_fallback:<policy>:<reason>`` fallback counter.  The
+        kernel is bit-identical to :meth:`run_reference` — see
         ``tests/test_golden_stats.py``, ``tests/test_sim_kernel.py``,
         ``tests/test_offline_kernel.py`` and
         ``tests/test_kernel_driver.py`` (every kind with each config

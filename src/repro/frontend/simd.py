@@ -12,7 +12,8 @@ precomputed for the whole trace in numpy array passes directly from
 materialized at all.
 
 The same kernel serves the offline and profile-guided families — the
-paper's headline arms.  **Belady** and the **FOO/FLACK replay family**
+paper's headline arms — and the paper's SHiP++ and Mockingjay
+baselines.  **Belady** and the **FOO/FLACK replay family**
 make their decisions by bisect queries into the shared columnar future
 index (:class:`~repro.offline.future.ColumnarFutureIndex`): ``occ_list``
 and ``span`` are bound once and queried directly on the cold
@@ -26,7 +27,13 @@ by — at most once per occurrence).  Plan mode additionally reads the
 precomputed admission bytearray.  **FURBYS / Thermometer** use static
 per-PW hints and classes; their hit path is the same probe-and-stamp
 as LRU, with the live policy dicts (``_last_use``, RRPV table, pitfall
-detector) mirrored in event order.
+detector) mirrored in event order.  **SHiP++** is SRRIP's RRPV with
+signature-driven insertion and training, mirrored on its live dicts
+the same way.  **Mockingjay**'s per-lookup reuse-distance training
+reads only the trace, so :meth:`_Kernel._mj_train` applies it lazily —
+up to ``now`` before each insertion attempt, up to the segment end
+after each segment — and the segment loop carries no per-lookup work
+for it.
 
 The kernel splits the simulation into:
 
@@ -48,12 +55,13 @@ The kernel splits the simulation into:
   and whose miss/insertion path works on the storage layer directly
   (per-set resident dicts, the line reverse map, per-policy victim
   ranking) without allocating ``StoredPW``/``InsertionRequest``
-  objects.  The online kinds inline the insertion attempt into the
-  loop; the offline kinds call :meth:`_Kernel._attempt`, whose cost is
-  the ranking sorts and bisects, not the call.
+  objects.  The online LRU/SRRIP/random/GHRP kinds inline the
+  insertion attempt into the loop; every other kind calls
+  :meth:`_Kernel._attempt`, whose cost is the ranking sorts and
+  bisects, not the call.
 
 There is one :class:`_Kernel` with one ``_segment`` and one ``_attempt``
-for all nine kinds.  The kind and the run-constant config flags are
+for all eleven kinds.  The kind and the run-constant config flags are
 plain locals, read once per segment (``_segment``) or unpacked from one
 tuple built at construction (``_attempt``); every run executes exactly
 the code that is read and tested.
@@ -76,10 +84,18 @@ A perfect micro-op cache hits every lookup without consulting the
 policy, the icache or the decoder, so its segments run only the BTB
 pass and fold the rest from the prefix sums.
 
-Unsupported configurations (policies without a kernel kind, miss
-classification) run :meth:`FrontendPipeline.run_reference` instead,
-counted per (policy, reason) by the ``sim_fallback:*`` resilience
-counters — see :func:`fallback_reason`.
+**Miss classification** (``classify_misses=True``) is a column: the 3C
+class of a lookup depends only on the trace and the shadow's capacity,
+so :func:`_window_classes` computes it per window in one sequential
+pass of the pipeline's own shadow classifier, and the segment adds each
+partial hit's missed micro-ops to its lookup's class and folds the full
+misses with one ``bincount`` over the miss indices it already keeps.
+
+Policies without a kernel kind (DRRIP, Hawkeye) run
+:meth:`FrontendPipeline.run_reference` instead, counted per (policy,
+reason) by the ``sim_fallback:*`` resilience counters — see
+:func:`fallback_reason`.  ``run_reference`` is otherwise the oracle the
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -114,10 +130,13 @@ from ..policies.ghrp import (
     GHRPPolicy,
 )
 from ..policies.lru import LRUPolicy
+from ..policies.mockingjay import MockingjayPolicy
 from ..policies.random_policy import RandomPolicy
+from ..policies.ship import SHiPPlusPlusPolicy
 from ..policies.srrip import RRPV_HIT, RRPV_INSERT, RRPV_MAX, SRRIPPolicy
 from ..policies.thermometer import COLD, HOT, ThermometerPolicy
 from ..uopcache.cache import default_set_index
+from .pipeline import _ShadowClassifier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.trace import Trace
@@ -188,9 +207,9 @@ def gc_paused(fn):
 # see _rebuild_policy_dicts), so the hot loop never touches a policy
 # dict.  _LU is the last-use stamp, _AUX the raw RRPV (SRRIP; the
 # per-set aging offset makes raw order == absolute order).  GHRP
-# records extend the layout with four trailing slots.  The offline
-# kinds keep their policy dicts live instead; FURBYS/Thermometer rank
-# by the _LU stamp, and Belady/replay cache the occurrence bracket
+# records extend the layout with four trailing slots.  The other kinds
+# keep their policy dicts live instead; FURBYS/Thermometer rank by the
+# _LU stamp, and Belady/replay cache the occurrence bracket
 # ``[idx, lo, hi]`` in _AUX.
 (_UOPS, _SIZE, _SET, _INSTS, _BYTES, _WEIGHT, _LINE0, _LINE1,
  _LU, _AUX, _REUSED) = range(11)
@@ -228,6 +247,10 @@ def kernel_kind(policy: object) -> str | None:
         return "furbys"
     if tp is ThermometerPolicy:
         return "thermometer"
+    if tp is SHiPPlusPlusPolicy:
+        return "ship++"
+    if tp is MockingjayPolicy:
+        return "mockingjay"
     return None
 
 
@@ -244,8 +267,6 @@ def fallback_reason(pipeline: "FrontendPipeline") -> str | None:
     """
     if kernel_kind(pipeline.policy) is None:
         return "unsupported_policy"
-    if pipeline._classifier is not None:
-        return "miss_classifier"
     # A pipeline that already streamed lookups (manual step() calls)
     # carries loop state the kernel does not reconstruct.
     if pipeline._pending or pipeline._in_flight:
@@ -305,6 +326,26 @@ def _window_columns(pipeline: "FrontendPipeline", trace: "Trace",
     return trace.memo(key, build)
 
 
+def _window_classes(pipeline: "FrontendPipeline", columns: dict,
+                    lo: int, hi: int) -> bytearray | None:
+    """Miss-class codes of lookups ``[lo, hi)``, or None if unused.
+
+    One :meth:`_ShadowClassifier.classes <repro.frontend.pipeline.
+    _ShadowClassifier.classes>` code per lookup, read ``base``-relative
+    like ``columns``.  Each window advances the pipeline's own
+    classifier, so its shadow state carries across window edges and
+    ends as the reference loop leaves it.  A perfect micro-op cache
+    never misses and never touches the shadow.
+    """
+    classifier = pipeline._classifier
+    if classifier is None or pipeline.config.perfect_uop_cache:
+        return None
+    base = columns["base"]
+    return bytearray(lo - base) + classifier.classes(
+        columns["starts"][lo - base:hi - base],
+        columns["uops"][lo - base:hi - base])
+
+
 def run_kernel(pipeline: "FrontendPipeline", trace: "Trace",
                warmup: int) -> SimulationStats:
     """Simulate ``trace`` on ``pipeline`` over column windows.
@@ -331,8 +372,11 @@ def run_kernel(pipeline: "FrontendPipeline", trace: "Trace",
         # reference loop).
         reset_at = warmup if 0 < warmup < n else -1
 
-        kernel = _Kernel(
-            pipeline, _window_columns(pipeline, trace, 0, min(n, window)), n)
+        def window_at(lo: int, hi: int) -> tuple[dict, bytearray | None]:
+            columns = _window_columns(pipeline, trace, lo, hi)
+            return columns, _window_classes(pipeline, columns, lo, hi)
+
+        kernel = _Kernel(pipeline, *window_at(0, min(n, window)), n)
         segment = kernel._segment
 
         def advance():
@@ -341,9 +385,8 @@ def run_kernel(pipeline: "FrontendPipeline", trace: "Trace",
                 if lo:
                     # Release the finished window before building the
                     # next one, so only one is ever live.
-                    kernel.cols = kernel.hist = None
-                    kernel._bind_columns(
-                        _window_columns(pipeline, trace, lo, hi))
+                    kernel.cols = kernel.hist = kernel.classes = None
+                    kernel._bind_columns(*window_at(lo, hi))
                 cuts = [lo, reset_at, hi] if lo < reset_at < hi else [lo, hi]
                 for begin, end in zip(cuts, cuts[1:]):
                     segment(begin, end)
@@ -496,6 +539,8 @@ def _build_columns(trace: "Trace", *, n_sets: int, uops_per_entry: int,
         "g_i0": ((g_sig ^ (g_sig >> 7)) & _MASK12).tolist(),
         "g_i1": (((g_sig >> 5) ^ (g_sig >> 8)) & _MASK12).tolist(),
         "g_i2": (((g_sig >> 10) ^ (g_sig >> 9)) & _MASK12).tolist(),
+        # Set index per lookup (Mockingjay's per-set training clock).
+        "si": si_l,
         "branch_pos": branch_pos,
         "branch_pcs": branch_pcs.tolist(),
         "branch_si": branch_si.tolist(),
@@ -521,7 +566,7 @@ class _Kernel:
     """One kernel execution: state shared across warmup/measure segments."""
 
     def __init__(self, pipeline: "FrontendPipeline", columns: dict,
-                 n: int) -> None:
+                 classes: bytearray | None, n: int) -> None:
         self.pipeline = pipeline
         config = pipeline.config
         self.kind = kernel_kind(pipeline.policy)
@@ -532,9 +577,10 @@ class _Kernel:
         self.line_bytes = config.icache.line_bytes
         self.inclusive = uc.inclusive_with_icache
 
-        # ``n`` is the trace length; ``columns`` is its first window.
+        # ``n`` is the trace length; ``columns`` is its first window and
+        # ``classes`` that window's miss-class codes.
         self.n = n
-        self._bind_columns(columns)
+        self._bind_columns(columns, classes)
         self.hist_now = 0
 
         # Live policy state (mutated in place — no sync needed).
@@ -603,6 +649,18 @@ class _Kernel:
         elif kind == "thermometer":
             self.o_last_use = policy._last_use
             self.classes_get = policy._classes.get
+        elif kind == "ship++":
+            self.o_rrpv = policy.rrpv._rrpv
+            self.s_admit = policy._admit
+            self.s_depart = policy._depart
+        elif kind == "mockingjay":
+            self.o_last_use = policy._last_use
+            self.m_train = policy.train
+            self.m_bypasses = policy._bypasses
+            self.m_rank = policy._rank
+            # Lookups whose ``on_lookup`` training the dicts hold (see
+            # _mj_train).
+            self.m_pos = 0
 
         phs = pipeline.pw_hit_stats
         self.has_phs = phs is not None
@@ -693,6 +751,7 @@ class _Kernel:
             kind == "lru", kind == "srrip", kind == "ghrp",
             kind == "belady", kind == "plan", kind == "greedy",
             kind == "furbys", kind == "thermometer",
+            kind == "ship++", kind == "mockingjay",
             self.start_identity, self.async_aware,
             self.metric_mode == 0, self.metric_mode == 1,
             self.keep_larger,
@@ -700,9 +759,12 @@ class _Kernel:
 
     # --- orchestration -------------------------------------------------------
 
-    def _bind_columns(self, columns: dict) -> None:
-        """Point every column read at ``columns`` (one window)."""
+    def _bind_columns(self, columns: dict,
+                      classes: bytearray | None) -> None:
+        """Point every column read at ``columns`` (one window) and its
+        miss-class codes (None when the run does not classify)."""
         self.cols = columns
+        self.classes = classes
         # Loop indices subtract ``col_base`` at every column read.
         self.col_base = columns["base"]
         self.hist = columns["hist"]
@@ -850,6 +912,29 @@ class _Kernel:
             + t2[(signature >> 10 ^ signature >> 9) & _MASK12]
         )
 
+    # --- Mockingjay training --------------------------------------------------
+
+    def _mj_train(self, upto: int) -> None:
+        """Mockingjay's ``on_lookup`` training for the lookups before
+        ``upto`` that the policy dicts do not hold yet.
+
+        The reference trains at every lookup, after the insertions due
+        there complete and before the outcome; what it learns depends
+        on the trace alone.  So the kernel trains lazily, through the
+        policy's own :meth:`~repro.policies.mockingjay.MockingjayPolicy.
+        train`: an attempt at ``now`` first catches up to ``now``, and
+        every segment catches up to its end (so a window edge never
+        needs an older window).
+        """
+        upto = min(upto, self.n)
+        pos = self.m_pos
+        if pos >= upto:
+            return
+        base = self.col_base
+        self.m_train(self.cols["starts"][pos - base:upto - base],
+                     self.cols["si"][pos - base:upto - base])
+        self.m_pos = upto
+
     # --- storage engine ------------------------------------------------------
 
     def _remove(self, now: int, start: int, rec: list, reason: int) -> None:
@@ -860,8 +945,8 @@ class _Kernel:
         ``_sync_back``).  The online kinds' policy-dict pops only matter
         during the final drain, after ``_rebuild_policy_dicts`` has
         refreshed the dicts; before that they are no-ops on state that
-        gets rebuilt.  The offline kinds' pops mirror the policy's
-        ``on_evict`` on the live dicts.
+        gets rebuilt.  The other kinds' pops (and SHiP++'s training)
+        mirror the policy's ``on_evict`` on the live dicts.
         """
         del self.sets_pws[rec[_SET]][start]
         del self.resident[start]
@@ -898,8 +983,11 @@ class _Kernel:
         elif kind == "furbys":
             self.o_last_use.pop(start, None)
             self.o_rrpv.pop(start, None)
-        elif kind == "thermometer":
+        elif kind == "thermometer" or kind == "mockingjay":
             self.o_last_use.pop(start, None)
+        elif kind == "ship++":
+            self.o_rrpv.pop(start, None)
+            self.s_depart(start, reason == _UPGRADE)
         elif kind in ("plan", "greedy") and reason != _UPGRADE:
             # Replay modes keep the interval across an in-place upgrade
             # (EvictionReason.UPGRADE is excluded in the reference).
@@ -926,15 +1014,16 @@ class _Kernel:
         upgraded); the unique running index ``i`` breaks sort ties in
         residency order.
 
-        The offline kinds run this for every insertion completion.  The
-        online kinds inline it into :meth:`_segment` (keep the two in
-        lockstep) and run it only from :meth:`_drain`, after
+        Every kind outside ``_ONLINE_KINDS`` runs this for every
+        insertion completion.  The ``_ONLINE_KINDS`` inline it into
+        :meth:`_segment` (keep the two in lockstep) and run it only
+        from :meth:`_drain`, after
         :meth:`_rebuild_policy_dicts`: SRRIP values are absolute and
         the policy dicts are live by then.
         """
         (is_lru, is_srrip, is_ghrp, is_belady, is_plan, is_greedy,
-         is_furbys, is_thermo, start_identity, async_aware, metric0,
-         metric1, keep_larger) = self.attempt_flags
+         is_furbys, is_thermo, is_ship, is_mj, start_identity,
+         async_aware, metric0, metric1, keep_larger) = self.attempt_flags
 
         self.st_attempts += 1
         uops = request[0]
@@ -1140,6 +1229,13 @@ class _Kernel:
                 else:
                     self.st_bypasses += 1
                     return
+        elif is_mj:
+            # Bypass a window whose trusted reuse prediction exceeds any
+            # plausible residency (trained on the lookups before `now`).
+            self._mj_train(now)
+            if self.m_bypasses(start):
+                self.st_bypasses += 1
+                return
 
         if need > 0:
             # --- choose_victims ---
@@ -1238,6 +1334,24 @@ class _Kernel:
                             decorated.append(
                                 (classes_get(s, COLD), rec[8], i, s))
                             i += 1
+                    elif is_ship:
+                        # Distant RRPV first (aging the set if none
+                        # is), residency order within a value.
+                        candidates = [s for s in cset if s != skip]
+                        if candidates:
+                            decorated = [
+                                (-value, i, s) for i, (value, s) in
+                                enumerate(zip(self._aged_rrpvs(candidates),
+                                              candidates))]
+                    elif is_mj:
+                        # Dead windows (idle past twice their predicted
+                        # reuse) first, most overdue first; then LRU.
+                        m_rank = self.m_rank
+                        for s in cset:
+                            if s == skip:
+                                continue
+                            decorated.append((*m_rank(set_index, s), i, s))
+                            i += 1
                     else:
                         # The online kinds (Belady's ranking is always
                         # built by its bypass check).
@@ -1305,8 +1419,10 @@ class _Kernel:
         elif is_furbys:
             self.o_last_use[start] = now
             self.o_rrpv[start] = RRPV_INSERT
-        elif is_thermo:
+        elif is_thermo or is_mj:
             self.o_last_use[start] = now
+        elif is_ship:
+            self.o_rrpv[start] = self.s_admit(start)
         elif is_belady or is_plan or is_greedy:
             if not is_belady:
                 # The residency interval starts at the lookup that
@@ -1414,8 +1530,9 @@ class _Kernel:
                     detector.append(vs)
         return victims
 
-    def _rrpv_victims(self, cset: dict, candidates: list) -> list:
-        """Mirror of ``RRPVTable.victim_order`` with LRU tie-breaks."""
+    def _aged_rrpvs(self, candidates: list) -> list[int]:
+        """The candidates' RRPVs after ``RRPVTable.victim_order``'s
+        aging (non-empty ``candidates``)."""
         o_rrpv = self.o_rrpv
         values = [o_rrpv.get(s, RRPV_MAX) for s in candidates]
         current_max = max(values)
@@ -1426,6 +1543,11 @@ class _Kernel:
             values = [value + delta for value in values]
             for s, value in zip(candidates, values):
                 o_rrpv[s] = value
+        return values
+
+    def _rrpv_victims(self, cset: dict, candidates: list) -> list:
+        """Mirror of ``RRPVTable.victim_order`` with LRU tie-breaks."""
+        values = self._aged_rrpvs(candidates)
         decorated = sorted(
             (-values[i], cset[s][8], i)
             for i, s in enumerate(candidates))
@@ -1467,13 +1589,16 @@ class _Kernel:
         is_srrip = kind == "srrip"
         is_replay = kind in ("plan", "greedy")
         is_furbys = kind == "furbys"
+        is_ship = kind == "ship++"
         # Hit stamps: lru/srrip stamp the record only (their policy
-        # dicts are rebuilt before the drain); furbys/thermometer stamp
-        # the record and mirror the live policy dicts.
+        # dicts are rebuilt before the drain); furbys, thermometer and
+        # mockingjay stamp the record and mirror the live last-use
+        # dict; the replay kinds and SHiP++ mirror their own dicts.
         rec_stamps = is_lru or is_srrip
-        dict_stamps = is_furbys or kind == "thermometer"
-        # The online kinds inline the insertion attempt below; the
-        # offline kinds call _attempt.
+        dict_stamps = is_furbys or kind in ("thermometer", "mockingjay")
+        other_stamps = is_replay or is_ship
+        # The _ONLINE_KINDS inline the insertion attempt below; the
+        # other kinds call _attempt.
         inline_attempt = kind in _ONLINE_KINDS
         has_phs = self.has_phs
         interval_start = self.interval_start
@@ -1484,6 +1609,8 @@ class _Kernel:
         phs_get = phs.get
         if is_srrip:
             rrpv_off = self.rrpv_off
+        if is_ship:
+            ship_train_hit = self.pipeline.policy._train_hit
         if is_ghrp:
             g_bypassed = self.g_bypassed
             g_bypassed_pop = g_bypassed.pop
@@ -1568,6 +1695,11 @@ class _Kernel:
         evictions = evicted_entries = 0
         cache_upgrades = 0
         on_uop_path = self.on_uop_path
+        # Micro-ops missed per miss class (cold, capacity, conflict)
+        # when the run classifies: partial hits add here, full misses
+        # at the fold.
+        classes = self.classes
+        class_uops = [0, 0, 0]
         # Full misses record their index only; the per-miss totals are
         # numpy fancy-indexed sums over the precomputed columns.
         miss_idx: list[int] = []
@@ -1958,8 +2090,14 @@ class _Kernel:
                     o_last_use[start] = now
                     if is_furbys:
                         o_rrpv[start] = RRPV_HIT
-                elif is_replay:
-                    interval_start[start] = now
+                elif other_stamps:
+                    if is_replay:
+                        interval_start[start] = now
+                    else:
+                        # SHiP++: near RRPV, and a first reuse trains
+                        # the signature up.
+                        o_rrpv[start] = RRPV_HIT
+                        ship_train_hit(start)
                 if not on_uop_path:
                     path_switches += 1
                     on_uop_path = True
@@ -2030,9 +2168,15 @@ class _Kernel:
                         o_last_use[start] = now
                         if is_furbys:
                             o_rrpv[start] = RRPV_HIT
-                    elif is_replay:
-                        interval_start[start] = now
-                        pending_lookup_t[start] = now
+                    elif other_stamps:
+                        if is_replay:
+                            interval_start[start] = now
+                            pending_lookup_t[start] = now
+                        else:
+                            o_rrpv[start] = RRPV_HIT
+                            ship_train_hit(start)
+                    if classes is not None:
+                        class_uops[classes[now - base]] += missed
                     path_switches += 1 if on_uop_path else 2
                     on_uop_path = False
                     fetch_start = start + rec[4]
@@ -2151,6 +2295,16 @@ class _Kernel:
             dec_insts += int(cols["arr_insts"][idx].sum())
             dec_cycles += int(cols["arr_cycles"][idx].sum())
             reads_corr -= int(cols["arr_esize"][idx].sum())
+            if classes is not None:
+                by_class = _np.bincount(
+                    _np.frombuffer(classes, dtype=_np.uint8)[idx],
+                    weights=cols["arr_uops"][idx], minlength=3)
+                for code in range(3):
+                    class_uops[code] += int(by_class[code])
+        if classes is not None:
+            add = stats.miss_breakdown.add
+            for klass, missed in zip(_ShadowClassifier.CODES, class_uops):
+                add(klass, missed)
         n_seg = end - begin
         cum_uops = cols["cum_uops"]
         cum_insts = cols["cum_insts"]
@@ -2205,3 +2359,6 @@ class _Kernel:
         self.ic_misses += ic_miss
         self.accumulated += accumulated
         self.on_uop_path = on_uop_path
+        if kind == "mockingjay" and not cfg.perfect_uop_cache:
+            # (A perfect micro-op cache never calls ``on_lookup``.)
+            self._mj_train(end)

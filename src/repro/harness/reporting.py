@@ -178,16 +178,6 @@ def format_failure(exc) -> str:
     return "\n".join(lines)
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (used for speedup summaries)."""
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
-
-
 def mean(values: Sequence[float]) -> float:
     if not values:
         return 0.0

@@ -4,8 +4,9 @@ FOO frames offline replacement as interval admission (Section III-D):
 after each lookup, decide whether the window stays cached until its
 next use, subject to capacity.  The LP relaxation solves exactly via
 min-cost flow; this implementation uses the scalable greedy admission
-of :mod:`repro.offline.plan` by default and the exact flow solver for
-small traces (``use_flow=True``).
+of :mod:`repro.offline.plan`.  The exact flow solver
+(:func:`repro.offline.mincostflow.flow_admission`) stays as the oracle
+the greedy plan is measured against.
 
 As in the paper, FOO here is *deliberately* blind to the micro-op
 cache's specifics — that is what FLACK fixes:
@@ -25,10 +26,8 @@ from typing import Callable
 
 from ..config import UopCacheConfig
 from ..core.trace import Trace
-from ..uopcache.cache import default_set_index
 from .base import OfflineReplayPolicy
-from .intervals import IdentityMode, ValueMetric, shared_intervals
-from .mincostflow import flow_admission
+from .intervals import ValueMetric
 
 
 class FOOPolicy(OfflineReplayPolicy):
@@ -40,7 +39,6 @@ class FOOPolicy(OfflineReplayPolicy):
         config: UopCacheConfig,
         *,
         objective: str = "ohr",
-        use_flow: bool = False,
         set_index_fn: Callable[[int, int], int] | None = None,
     ) -> None:
         if objective not in ("ohr", "bhr"):
@@ -57,15 +55,3 @@ class FOOPolicy(OfflineReplayPolicy):
             set_index_fn=set_index_fn,
             name=f"foo-{objective}",
         )
-        if use_flow:
-            # Replace the greedy plan with the exact LP/flow admission.
-            set_fn = set_index_fn or default_set_index
-            per_set, slots = shared_intervals(
-                trace,
-                config,
-                identity=IdentityMode.EXACT,
-                metric=metric,
-                set_index_fn=set_fn,
-                min_gap=0,
-            )
-            self.plan = flow_admission(per_set, slots, config.ways, len(trace))

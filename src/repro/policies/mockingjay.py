@@ -24,7 +24,7 @@ decisions the predictor feeds.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..core.pw import PWLookup, StoredPW
 from ..uopcache.replacement import EvictionReason, ReplacementPolicy
@@ -55,17 +55,30 @@ class MockingjayPolicy(ReplacementPolicy):
 
     # --- reuse-distance training ----------------------------------------------
 
+    def train(self, starts: Iterable[int], set_indices: Iterable[int]) -> None:
+        """Learn from a run of lookups, in order.
+
+        What the predictor learns depends on the trace alone, so the
+        simulation kernel trains a run of lookups at once; the
+        reference loop trains each lookup from :meth:`on_lookup`.
+        """
+        set_clock = self._set_clock
+        last_seen = self._last_seen
+        prediction = self._prediction
+        samples = self._samples
+        for start, set_index in zip(starts, set_indices):
+            clock = set_clock.get(set_index, 0) + 1
+            set_clock[set_index] = clock
+            last = last_seen.get(start)
+            if last is not None:
+                observed = float(clock - last)
+                previous = prediction.get(start, observed)
+                prediction[start] = (1 - _ALPHA) * previous + _ALPHA * observed
+                samples[start] = samples.get(start, 0) + 1
+            last_seen[start] = clock
+
     def on_lookup(self, now: int, set_index: int, lookup: PWLookup) -> None:
-        clock = self._set_clock.get(set_index, 0) + 1
-        self._set_clock[set_index] = clock
-        start = lookup.start
-        last = self._last_seen.get(start)
-        if last is not None:
-            observed = float(clock - last)
-            previous = self._prediction.get(start, observed)
-            self._prediction[start] = (1 - _ALPHA) * previous + _ALPHA * observed
-            self._samples[start] = self._samples.get(start, 0) + 1
-        self._last_seen[start] = clock
+        self.train((lookup.start,), (set_index,))
 
     # --- recency bookkeeping -----------------------------------------------------
 
@@ -94,18 +107,24 @@ class MockingjayPolicy(ReplacementPolicy):
         idle = clock - self._last_seen.get(start, clock)
         return idle - _DEAD_FACTOR * self._prediction.get(start, float(idle))
 
+    def _bypasses(self, start: int) -> bool:
+        """Whether the trusted reuse prediction of ``start`` exceeds any
+        plausible residency."""
+        return (self._samples.get(start, 0) >= _MIN_SAMPLES
+                and self._prediction[start] > _BYPASS_DISTANCE)
+
+    def _rank(self, set_index: int, start: int) -> tuple[int, float, int]:
+        """Victim sort key: dead windows first, most overdue first;
+        then LRU."""
+        overdue = self._overdue(set_index, start)
+        if overdue > 0:
+            return (0, -overdue, 0)
+        return (1, 0.0, self._last_use.get(start, -1))
+
     def should_bypass(self, now: int, set_index: int, incoming: StoredPW,
                       resident: Sequence[StoredPW], need_ways: int) -> bool:
-        if self._samples.get(incoming.start, 0) < _MIN_SAMPLES:
-            return False
-        return self._prediction[incoming.start] > _BYPASS_DISTANCE
+        return self._bypasses(incoming.start)
 
     def victim_order(self, now: int, set_index: int, incoming: StoredPW,
                      resident: Sequence[StoredPW]) -> list[StoredPW]:
-        def rank(pw: StoredPW) -> tuple[int, float, int]:
-            overdue = self._overdue(set_index, pw.start)
-            if overdue > 0:
-                return (0, -overdue, 0)  # dead: most overdue first
-            return (1, 0.0, self._last_use.get(pw.start, -1))  # LRU
-
-        return sorted(resident, key=rank)
+        return sorted(resident, key=lambda pw: self._rank(set_index, pw.start))

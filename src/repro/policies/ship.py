@@ -17,7 +17,7 @@ from typing import Sequence
 
 from ..core.pw import PWLookup, StoredPW
 from ..uopcache.replacement import EvictionReason, ReplacementPolicy
-from .srrip import RRPV_HIT, RRPV_MAX, RRPVTable
+from .srrip import RRPV_HIT, RRPV_INSERT, RRPV_MAX, RRPVTable
 
 _SHCT_BITS = 14
 _SHCT_SIZE = 1 << _SHCT_BITS
@@ -43,12 +43,37 @@ class SHiPPlusPlusPolicy(ReplacementPolicy):
         self._signature: dict[int, int] = {}
 
     # --- SHCT training ----------------------------------------------------------
+    #
+    # One method per event, shared with the simulation kernel, which
+    # calls them on this policy's live dicts.
 
     def _train_hit(self, start: int) -> None:
+        """A first reuse trains the signature up."""
         if not self._reused.get(start, False):
             self._reused[start] = True
             sig = self._signature.get(start, signature_of(start))
             self._shct[sig] = min(_COUNTER_MAX, self._shct[sig] + 1)
+
+    def _admit(self, start: int) -> int:
+        """Record an insertion's signature; return its RRPV."""
+        sig = signature_of(start)
+        self._signature[start] = sig
+        self._reused[start] = False
+        counter = self._shct[sig]
+        if counter == 0:
+            return RRPV_MAX  # predicted dead: distant
+        if counter >= _CONFIDENT:
+            return RRPV_HIT  # confident: near
+        return RRPV_INSERT
+
+    def _depart(self, start: int, upgrade: bool) -> None:
+        """Forget a departing entry; one leaving unreused trains its
+        signature down (an in-place upgrade is not a departure)."""
+        if not upgrade and not self._reused.get(start, True):
+            sig = self._signature.get(start, signature_of(start))
+            self._shct[sig] = max(0, self._shct[sig] - 1)
+        self._reused.pop(start, None)
+        self._signature.pop(start, None)
 
     def on_hit(self, now: int, set_index: int, stored: StoredPW,
                lookup: PWLookup) -> None:
@@ -61,27 +86,12 @@ class SHiPPlusPlusPolicy(ReplacementPolicy):
         self._train_hit(stored.start)
 
     def on_insert(self, now: int, set_index: int, stored: StoredPW) -> None:
-        sig = signature_of(stored.start)
-        self._signature[stored.start] = sig
-        self._reused[stored.start] = False
-        counter = self._shct[sig]
-        if counter == 0:
-            self.rrpv.set(stored.start, RRPV_MAX)  # predicted dead: distant
-        elif counter >= _CONFIDENT:
-            self.rrpv.set(stored.start, RRPV_HIT)  # confident: near
-        else:
-            self.rrpv.on_insert(stored.start)
+        self.rrpv.set(stored.start, self._admit(stored.start))
 
     def on_evict(self, now: int, set_index: int, stored: StoredPW,
                  reason: EvictionReason) -> None:
-        if reason is not EvictionReason.UPGRADE and not self._reused.get(
-            stored.start, True
-        ):
-            sig = self._signature.get(stored.start, signature_of(stored.start))
-            self._shct[sig] = max(0, self._shct[sig] - 1)
         self.rrpv.on_evict(stored.start)
-        self._reused.pop(stored.start, None)
-        self._signature.pop(stored.start, None)
+        self._depart(stored.start, reason is EvictionReason.UPGRADE)
 
     def victim_order(self, now: int, set_index: int, incoming: StoredPW,
                      resident: Sequence[StoredPW]) -> list[StoredPW]:

@@ -96,7 +96,7 @@ class TestArmPublishesTheReplay:
     @pytest.mark.parametrize("warmup", [0, N // 3, N + 10],
                              ids=["cold", "third", "whole"])
     @pytest.mark.parametrize("classify", [False, True],
-                             ids=["kernel", "reference"])
+                             ids=["kernel", "classified"])
     def test_arm_hit_stats_equal_the_replay(self, source, warmup, classify):
         request = RunRequest(app="kafka", policy=PROFILE_ARMS[source],
                              trace_len=N, warmup=warmup,
@@ -105,7 +105,7 @@ class TestArmPublishesTheReplay:
         stats = execute(request)
         fallbacks = [name for name in resilience.counters_since(before)
                      if name.startswith("sim_fallback:")]
-        assert bool(fallbacks) == classify  # the reference loop ran
+        assert not fallbacks  # miss classification runs in the kernel too
         # The arm published under the key a FURBYS request of this
         # source looks its replay up by: the arm's canonical request.
         furbys = dataclasses.replace(request, policy="furbys",

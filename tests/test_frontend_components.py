@@ -80,10 +80,6 @@ class TestLegacyDecoder:
         assert decoder.uops_decoded == 11
         assert decoder.episodes == 2
 
-    def test_fill_latency_from_config(self):
-        decoder = LegacyDecoder(CoreConfig(decode_latency_cycles=7))
-        assert decoder.fill_latency == 7
-
 
 class TestAccumulator:
     def test_hint_attached_to_branchful_pw(self):

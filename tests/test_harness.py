@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import ReproError, UnknownPolicyError
 from repro.harness import artifacts
-from repro.harness.reporting import format_table, geometric_mean, mean, percent
+from repro.harness.reporting import format_table, mean, percent
 from repro.harness.runner import (
     RunRequest,
     RunResult,
@@ -592,8 +592,6 @@ class TestReporting:
     def test_means(self):
         assert mean([1.0, 3.0]) == 2.0
         assert mean([]) == 0.0
-        assert geometric_mean([4.0, 1.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
 
 
 class TestCli:

@@ -12,7 +12,8 @@ longer than ``MEMO_LOOKUPS`` and bounds its traced memory.
 
 Every kind runs the one ``_segment`` / ``_attempt`` template, whose
 run-constant config flags are live branches.  The template suite runs
-all nine kinds against the reference with each of those flags flipped.
+all eleven kinds against the reference with each of those flags
+flipped, miss classification included.
 """
 
 from __future__ import annotations
@@ -139,18 +140,23 @@ BOUNDARY_CASES = [
     (2 * W + DELAY, W),            # warmup exactly on a window edge
     (2 * W + DELAY, W + W // 3),   # warmup inside the second window
 ]
-BOUNDARY_ARMS = ("ghrp", "flack", "furbys", "belady-profile")
+BOUNDARY_ARMS = ("ghrp", "flack", "furbys", "belady-profile", "mockingjay",
+                 "lru-classify")
 
 
 def _boundary_pipeline(arm: str, trace, config) -> FrontendPipeline:
     """A fresh pipeline for one boundary-suite arm.
 
     ``furbys`` carries synthetic hints (a pure function of the start),
-    and ``belady-profile`` is the profiling-replay shape: an offline
-    policy with per-PW hit-rate recording.
+    ``belady-profile`` is the profiling-replay shape: an offline
+    policy with per-PW hit-rate recording, and ``lru-classify`` carries
+    the miss classifier's shadow state across window edges.
     """
-    if arm == "ghrp":
-        return FrontendPipeline(config, make_policy("ghrp"))
+    if arm in ("ghrp", "mockingjay"):
+        return FrontendPipeline(config, make_policy(arm))
+    if arm == "lru-classify":
+        return FrontendPipeline(config, make_policy("lru"),
+                                classify_misses=True)
     if arm == "flack":
         return FrontendPipeline(config, FLACKPolicy(trace, config.uop_cache))
     if arm == "furbys":
@@ -163,7 +169,16 @@ def _boundary_pipeline(arm: str, trace, config) -> FrontendPipeline:
 
 def _outcome(pipeline: FrontendPipeline, stats) -> tuple:
     return (dataclasses.asdict(stats), pipeline.pw_hit_stats,
-            _policy_state(pipeline.policy))
+            _policy_state(pipeline.policy),
+            _classifier_state(pipeline._classifier))
+
+
+def _classifier_state(classifier) -> tuple | None:
+    """The miss classifier's shadow state (None when off)."""
+    if classifier is None:
+        return None
+    return (sorted(classifier._seen), list(classifier._fa.items()),
+            classifier._used)
 
 
 def _simd_memos(trace) -> list:
@@ -207,12 +222,13 @@ def test_window_boundaries_match_reference(n, warmup, monkeypatch):
 
 #: Every kernel kind.
 KINDS = ("lru", "srrip", "random", "ghrp", "belady", "plan", "greedy",
-         "furbys", "thermometer")
+         "furbys", "thermometer", "ship++", "mockingjay")
 
 #: The run-constant config flags the template branches on, each
 #: flipped from its zen3 default ("default" flips none).
 FLAGS = ("default", "perfect_icache", "non_inclusive", "no_keep_larger",
-         "perfect_btb", "record_hit_rates", "perfect_uop_cache")
+         "perfect_btb", "record_hit_rates", "perfect_uop_cache",
+         "classify_misses")
 
 
 def _flag_config(flag: str):
@@ -232,7 +248,8 @@ def _flag_config(flag: str):
 
 
 def _kind_pipeline(kind: str, trace, config, *,
-                   record_hit_rates: bool = False) -> FrontendPipeline:
+                   record_hit_rates: bool = False,
+                   classify_misses: bool = False) -> FrontendPipeline:
     """A fresh pipeline whose policy has kernel kind ``kind``.
 
     FURBYS hints and Thermometer classes are synthetic functions of the
@@ -240,7 +257,7 @@ def _kind_pipeline(kind: str, trace, config, *,
     """
     starts = trace.unique_starts()
     hints = None
-    if kind in ("lru", "srrip", "random", "ghrp"):
+    if kind in ("lru", "srrip", "random", "ghrp", "ship++", "mockingjay"):
         policy = make_policy(kind)
     elif kind == "belady":
         policy = BeladyPolicy(trace)
@@ -255,7 +272,8 @@ def _kind_pipeline(kind: str, trace, config, *,
         policy = ThermometerPolicy({start: start % 3 for start in starts})
     assert simd.kernel_kind(policy) == kind
     return FrontendPipeline(config, policy, hints=hints,
-                            record_hit_rates=record_hit_rates)
+                            record_hit_rates=record_hit_rates,
+                            classify_misses=classify_misses)
 
 
 #: Every kind with every flag; the zen3 defaults keep the bare kind id.
@@ -268,19 +286,22 @@ PARITY_CASES = [
 @pytest.mark.parametrize("kind,flag", PARITY_CASES)
 def test_generic_templates_match_reference(kind, flag):
     """Every kind, with each config flag flipped, runs the kernel and
-    stays bit-identical to the reference loop (stats and per-PW hit
-    rates)."""
+    stays bit-identical to the reference loop (stats, the miss
+    breakdown, per-PW hit rates and the classifier's shadow state)."""
     config = _flag_config(flag)
-    record = flag == "record_hit_rates"
+    options = dict(record_hit_rates=flag == "record_hit_rates",
+                   classify_misses=flag == "classify_misses")
     trace = get_trace("kafka", "default", 3000)
 
-    pipeline = _kind_pipeline(kind, trace, config, record_hit_rates=record)
+    pipeline = _kind_pipeline(kind, trace, config, **options)
     assert simd.fallback_reason(pipeline) is None
     with stagetimer.capture() as stages:
         stats = pipeline.run(trace, warmup=1000)
     assert stages.get("sim_kernel_calls")
-    reference = _kind_pipeline(kind, trace, config, record_hit_rates=record)
+    reference = _kind_pipeline(kind, trace, config, **options)
     assert _outcome(pipeline, stats) == _outcome(
         reference, reference.run_reference(trace, warmup=1000))
-    if record:
+    if options["record_hit_rates"]:
         assert pipeline.pw_hit_stats
+    if options["classify_misses"]:
+        assert stats.miss_breakdown.total == stats.uops_missed > 0

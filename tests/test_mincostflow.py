@@ -162,11 +162,19 @@ class TestOptimalityGapAtFullTraceLength:
         assert exact.admitted_value >= greedy.admitted_value - 1e-9
         assert greedy.admitted_value >= 0.9 * exact.admitted_value
 
-    def test_foo_use_flow_builds_at_20k(self):
-        from repro.offline.foo import FOOPolicy
+    def test_foo_flow_admission_builds_at_20k(self):
+        """The exact flow admission of FOO's own intervals (EXACT
+        identity, the OHR metric, no min gap) builds at 20k lookups."""
+        from repro.offline.intervals import shared_intervals
+        from repro.uopcache.cache import default_set_index
         from repro.workloads.registry import get_trace
 
         trace = get_trace("kafka", "default", 20_000)
-        policy = FOOPolicy(trace, UopCacheConfig(), use_flow=True)
-        assert policy.plan is not None
-        assert policy.plan.admitted_count > 0
+        config = UopCacheConfig()
+        per_set, slots = shared_intervals(
+            trace, config, identity=IdentityMode.EXACT,
+            metric=ValueMetric.OHR, set_index_fn=default_set_index,
+            min_gap=0,
+        )
+        plan = flow_admission(per_set, slots, config.ways, len(trace))
+        assert plan.admitted_count > 0

@@ -15,9 +15,10 @@ profile-guided kinds of the one simulation kernel
   22's per-PW hit rates) runs through the kernel with a bit-identical
   ``pw_hit_stats`` dict, for the online kinds as well as the offline
   ones.
-* **Fallback visibility** — unsupported shapes run the reference loop
-  and count a ``sim_fallback:<policy>:<reason>`` resilience counter,
-  which :class:`~repro.harness.resilience.FaultReport` routes to its
+* **Fallback visibility** — a policy without a kernel kind runs the
+  reference loop and counts a ``sim_fallback:<policy>:<reason>``
+  resilience counter, which
+  :class:`~repro.harness.resilience.FaultReport` routes to its
   informational ``sim_fallbacks`` bucket (not ``total_faults``).
 * **Chaos variant** — ``REPRO_FAULT_SPEC``-injected worker crashes must
   leave batch results over offline arms bit-identical to a clean
@@ -214,26 +215,15 @@ def test_hit_rate_recording_matches_reference(policy):
 
 
 class TestFallbackVisibility:
-    @pytest.mark.parametrize("reason", (
-        "unsupported_policy", "miss_classifier",
-    ))
-    def test_unsupported_shape_counts_a_reasoned_fallback(self, reason):
-        """Shapes the kernel does not serve — a policy without a kernel
-        (SHiP++), miss classification — run the reference loop, count
-        exactly one sim_fallback:<policy>:<reason> and stay
-        bit-identical."""
+    def test_unsupported_shape_counts_a_reasoned_fallback(self):
+        """A policy without a kernel kind (DRRIP) runs the reference
+        loop, counts exactly one sim_fallback:drrip:unsupported_policy
+        and stays bit-identical."""
         config = preset("zen3").with_uop_cache(entries=32, ways=4)
         trace = _random_trace(seed=5, n=1_200)
 
         def pipeline() -> FrontendPipeline:
-            if reason == "unsupported_policy":
-                policy = make_policy("ship++")
-            else:
-                policy, _ = _build("belady", trace, config)
-            return FrontendPipeline(
-                config, policy,
-                classify_misses=reason == "miss_classifier",
-            )
+            return FrontendPipeline(config, make_policy("drrip"))
 
         resilience.reset_counters()
         served = pipeline()
@@ -245,7 +235,7 @@ class TestFallbackVisibility:
         }
         resilience.reset_counters()
         assert fallbacks == {
-            f"sim_fallback:{served.policy.name}:{reason}": 1}
+            f"sim_fallback:{served.policy.name}:unsupported_policy": 1}
         reference = pipeline()
         assert dataclasses.asdict(stats) == \
             dataclasses.asdict(reference.run_reference(trace))
@@ -255,11 +245,11 @@ class TestFallbackVisibility:
         report, excluded from total_faults."""
         report = FaultReport()
         report.merge_counters({
-            "sim_fallback:belady:miss_classifier": 2,
+            "sim_fallback:drrip:unsupported_policy": 2,
             "disk_write": 1,
         })
         assert report.sim_fallbacks == {
-            "sim_fallback:belady:miss_classifier": 2
+            "sim_fallback:drrip:unsupported_policy": 2
         }
         assert report.fallbacks == {"disk_write": 1}
         assert report.degraded_fallbacks == 1
@@ -271,10 +261,10 @@ class TestFallbackVisibility:
 
         report = BatchReport(requests=2, unique=2, executed=2, jobs=1)
         report.faults.merge_counters(
-            {"sim_fallback:belady:miss_classifier": 2})
+            {"sim_fallback:drrip:unsupported_policy": 2})
         text = format_batch_report(report)
         assert "2 sim kernel fallbacks" in text
-        assert "belady:miss_classifier=2" in text
+        assert "drrip:unsupported_policy=2" in text
 
 
 class TestChaos:

@@ -65,10 +65,12 @@ def test_columns_totals_match_object_scan(lookups):
 @settings(max_examples=50, deadline=None)
 @given(lookups_strategy)
 def test_columns_payload_roundtrip(lookups):
-    """columns -> packed bytes -> columns is the identity."""
+    """The packed payload is the five columns back to back: 8 + 4 + 4
+    + 4 + 1 bytes per lookup, starts first."""
     columns = TraceColumns.from_lookups(lookups)
     payload = columns.to_payload()
-    assert len(payload) == TraceColumns.payload_size(len(lookups))
+    assert len(payload) == 21 * len(lookups)
+    assert payload[:8 * len(lookups)] == columns.starts.tobytes()
 
 
 def test_columns_reject_ragged_and_overflow():
